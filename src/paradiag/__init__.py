@@ -9,7 +9,8 @@ Subpackages and modules:
   evaluators and the planar relation suite;
 * :mod:`paradiag.compression` -- controlled-form predicates and
   decompositions;
-* :mod:`paradiag.protocol` -- branch-enumerating teleportation simulator;
+* :mod:`paradiag.protocol` -- teleportation simulator that reads every
+  measurement branch off one deferred-measurement pass;
 * :mod:`paradiag.cli` -- the ``paradiag`` command line front end.
 """
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +41,6 @@ EXIT_INVALID = 2
 EXIT_INDETERMINATE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated command configuration; defaults match the documented CLI."""
-
-    command: str
-    d: int = 2
-    n: int = 1
-    tol: float = 1e-9
-    mode: str = "all_branches"
-    seed: int = 0
-    out: str | None = None
-    threads: int = 1
-
-
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
@@ -80,11 +64,7 @@ def cmd_relations(args: argparse.Namespace) -> int:
             _summary(f"error: unknown relation {args.only!r}; known: {', '.join(RELATION_IDS)}")
             return EXIT_INVALID
         ids = [args.only]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda rid: check_relation(rid, args.d, args.tol), ids))
-    else:
-        reports = [check_relation(rid, args.d, args.tol) for rid in ids]
+    reports = [check_relation(rid, args.d, args.tol) for rid in ids]
     passed = all(r.passed for r in reports)
     report = {
         "command": "relations",
@@ -213,11 +193,18 @@ def cmd_mct(args: argparse.Namespace) -> int:
     if (args.blocks is None) == (args.random is None):
         _summary("error: give exactly one of --blocks or --random")
         return EXIT_INVALID
+    if args.random is not None and args.random < 1:
+        _summary(f"error: need --random >= 1, got {args.random}")
+        return EXIT_INVALID
     tol = Tolerance(args.tol)
     runs = []
     try:
         if args.blocks:
             d, n, parties, input_state = _load_blocks(args.blocks)
+            if (d, n) != (args.d, args.n):
+                _summary(f"error: {args.blocks} holds d={d}, n={n}, "
+                         f"but --d {args.d} --n {args.n} was given")
+                return EXIT_INVALID
             rng = np.random.default_rng(args.seed)
             if input_state is None:
                 input_state = _random_input(d, sum(b[0].n for b in parties) + 1, rng)
@@ -225,24 +212,16 @@ def cmd_mct(args: argparse.Namespace) -> int:
             runs.append(run)
         else:
             rng = np.random.default_rng(args.seed)
-            trials = []
-            for _ in range(args.random):
+            # one sampling seed per trial, so sample-mode trials draw independently
+            for child in np.random.SeedSequence(args.seed).spawn(args.random):
                 parties = [
                     [random_unitary(args.d, 1, rng) for _ in range(args.d)] for _ in range(args.n)
                 ]
-                trials.append((parties, _random_input(args.d, args.n + 1, rng)))
-
-            def _one(trial):
-                parties, input_state = trial
-                return run_mct_controlled(
-                    args.d, args.n, parties, input_state, mode=args.mode, tol=tol, seed=args.seed
-                )
-
-            if args.threads > 1:
-                with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                    runs = list(pool.map(_one, trials))
-            else:
-                runs = [_one(t) for t in trials]
+                input_state = _random_input(args.d, args.n + 1, rng)
+                runs.append(run_mct_controlled(
+                    args.d, args.n, parties, input_state, mode=args.mode, tol=tol,
+                    seed=int(child.generate_state(1)[0]),
+                ))
     except (ValueError, KeyError, OSError, DimensionError) as exc:
         _summary(f"error: {exc}")
         return EXIT_INVALID
@@ -283,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--only", type=str, default=None)
     p_rel.add_argument("--tol", type=float, default=1e-9)
     p_rel.add_argument("--out", type=str, default=None)
-    p_rel.add_argument("--threads", type=int, default=1)
     p_rel.set_defaults(func=cmd_relations)
 
     p_eval = sub.add_parser("eval", help="evaluate a diagram file")
@@ -310,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mct.add_argument("--mode", choices=("all_branches", "sample"), default="all_branches")
     p_mct.add_argument("--tol", type=float, default=1e-9)
     p_mct.add_argument("--out", type=str, default=None)
-    p_mct.add_argument("--threads", type=int, default=1)
     p_mct.set_defaults(func=cmd_mct)
     return parser
 
@@ -319,19 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            d=getattr(args, "d", 2),
-            n=getattr(args, "n", 1),
-            tol=getattr(args, "tol", 1e-9),
-            mode=getattr(args, "mode", "all_branches"),
-            seed=getattr(args, "seed", 0),
-            out=getattr(args, "out", None),
-            threads=getattr(args, "threads", 1),
-        )
-        Tolerance(config.tol)
-        if config.threads < 1:
-            raise ValueError(f"need at least one thread, got {config.threads}")
+        Tolerance(args.tol)
     except ValueError as exc:
         _summary(f"error: {exc}")
         return EXIT_INVALID

@@ -6,8 +6,9 @@ block diagonal after moving j to the front.  X- and Y-compression are the
 conjugated notions (FXF^-1 = Z, GXG^-1 = Y^-1 move between the three).
 
 Floating point blurs the exact commutant condition, so the commutator norm
-is graded: at most COMPRESS_PASS * max|T| is compressed, above
-COMPRESS_FAIL is not, anything between is reported indeterminate.
+is graded relative to the largest entry of T: at most COMPRESS_PASS * max|T|
+is compressed, above COMPRESS_FAIL * max|T| is not, anything between is
+reported indeterminate.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def compression_verdict(op: Operator, j: int, axis: str) -> str:
     scale = max(float(np.max(np.abs(op.mat))), 1e-300)
     if c <= COMPRESS_PASS * scale:
         return "compressed"
-    if c > COMPRESS_FAIL:
+    if c > COMPRESS_FAIL * scale:
         return "not_compressed"
     return "indeterminate"
 

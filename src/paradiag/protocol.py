@@ -1,4 +1,4 @@
-"""Branch-enumerating LOCC simulator for multipartite compressed teleportation.
+"""LOCC simulator for multipartite compressed teleportation.
 
 Register layout (1-based, matching the circuit wire order): for each party j
 its data qudits come first, then its single resource qudit; the leader's
@@ -10,25 +10,38 @@ The resource state spans the n+1 resource qudits.  Outputs are re-indexed to
 data qudits only, ordered [P1.data.., ..., Pn.data.., L.data], which is also
 the qudit order of the input state and of ``target_unitary``.
 
+Each variant is one list of (matrix, qudits) steps run in a single pass.
+By the deferred-measurement principle every classically controlled
+correction is a controlled gate from the qudit that would have been
+measured, so all meters move to the end: the final state, read with the
+resource qudits [L.res, P1.res, ..., Pn.res] as row index and the data
+qudits as column index, holds branch (l0, l1, ..., ln) in its rows.  Row
+norms squared are the branch probabilities and normalized rows are the
+branch outputs.
+
 Controlled variant (GHZ resource): the leader applies F^-1 on its resource
-qudit, a controlled-Z against its data qudit, F^-1 again, measures l0 and
-broadcasts it; party j applies X^l0 to its resource qudit, performs the
-controlled T_j(l) with the resource qudit as control, applies F^-1, measures
-l_j and returns it; the leader applies Z^(sum l_j) to its data qudit.  The
-exponent signs (X^+l0, Z^+l_j) are build constants fixed by requiring exact
-branch-wise correctness; the enumeration below verifies them.
+qudit, a controlled-Z against its data qudit and F^-1 again; l0 is its
+meter.  Party j receives X^l0 on its resource qudit (the adder from L.res),
+performs the controlled T_j(l) with the resource qudit as control and
+applies F^-1; l_j is its meter.  The leader's correction Z^(sum l_j) is one
+controlled-Z from each Pj.res onto L.data.  The exponent signs (X^+l0,
+Z^+l_j) are build constants fixed by requiring exact branch-wise
+correctness; every run checks them branch by branch.
 
 X-compressed variant (Max resource): controlled-X from the leader resource
-onto the leader data, F^-1, controlled-X^-1, measure l0; party j applies
-Z^-l0 to its resource qudit, then its X-compressed T_j with the resource
-qudit substituted for the leader leg, and measures m_j; the leader applies
-X^(l0 + sum m_j).  The l0 part of the final correction cancels against the
-controlled-X^-1, which is the measurement-simplification identity checked by
-``trick_identity_deviation``.
+onto the leader data, F^-1, controlled-X^-1, then the l0 part of the final
+correction as a controlled-X; l0 is the L.res meter.  Party j receives
+Z^-l0 on its resource qudit (controlled-Z^-1 from L.res), performs its
+X-compressed T_j with the resource qudit substituted for the leader leg;
+m_j is its meter, and the correction X^(m_j) is a controlled-X from Pj.res
+onto L.data.  The l0 part of the correction cancels against the
+controlled-X^-1, which is the measurement-simplification identity checked
+by ``trick_identity_deviation``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,16 +51,18 @@ from .algebra import (
     Operator,
     ShapeError,
     StateVector,
+    _controlled_add,
     apply_to_qudits,
     embed_operator,
     fourier,
     ghz_state,
     partial_trace,
     pauli,
+    permute_qudits,
     prepare_max,
 )
 from .compression import NotXCompressed, assemble_controlled, is_compressed
-from .scalars import Tolerance, global_phase_deviation
+from .scalars import Tolerance, global_phase_deviation, zeta
 
 __all__ = [
     "Network",
@@ -289,46 +304,93 @@ def target_unitary_xcompressed(d: int, n: int, parties: Sequence[Operator]) -> O
 
 def _initial_state(net: Network, input_state: StateVector, resource: StateVector) -> StateVector:
     """input (data order) (x) resource (res order), permuted into the layout."""
-    combined = input_state.tensor(resource)
-    m_data = net.data_qudits
-    # combined order: [P1.data.., Pn.data.., L.data, P1.res, ..., Pn.res, L.res]
-    source = {}
-    pos = 1
-    for j in range(1, net.n + 1):
-        for p in net.party_data_positions(j):
-            source[p] = pos
-            pos += 1
-    source[net.leader_data_position] = pos
-    for j in range(1, net.n + 1):
-        source[net.party_resource_position(j)] = m_data + j
-    source[net.leader_resource_position] = m_data + net.n + 1
-    perm = [source[p] for p in range(1, net.total_qudits + 1)]
-    return _permute(combined, perm)
-
-
-def _permute(state: StateVector, perm: list[int]) -> StateVector:
-    psi = state.amps.reshape([state.d] * state.n).transpose([p - 1 for p in perm])
-    return StateVector(state.d, state.n, psi.reshape(-1))
-
-
-def _extract_data(net: Network, state: StateVector, outcomes: Sequence[int]) -> StateVector:
-    """Drop the measured-out resource qudits; outcomes fix their indices."""
-    d = net.d
-    psi = state.amps.reshape([d] * net.total_qudits)
-    index: list[object] = [slice(None)] * net.total_qudits
-    for pos, m in zip(net.resource_positions, outcomes):
-        index[pos - 1] = m
-    return StateVector(d, net.data_qudits, psi[tuple(index)].reshape(-1))
-
-
-def _power_mat(base: Operator, e: int) -> np.ndarray:
-    return np.linalg.matrix_power(base.mat, e % base.d)
+    res = net.resource_positions
+    data = [p for p in range(1, net.total_qudits + 1) if p not in res]
+    perm = np.argsort(data + res) + 1
+    return permute_qudits(input_state.tensor(resource), [int(p) for p in perm])
 
 
 def _controlled_z(d: int) -> np.ndarray:
-    """sum_m |m><m| (x) Z^m; diagonal, so control and target are symmetric."""
-    zdiag = pauli(d, "Z").mat.diagonal()
-    return np.diag(np.array([zdiag[k] ** m for m in range(d) for k in range(d)], dtype=complex))
+    """sum_m |m><m| (x) Z^m = diag(q**(m*k)); control and target are symmetric."""
+    k = np.arange(d)
+    return np.diag((zeta(d) ** ((2 * np.outer(k, k)) % (d * d))).reshape(-1))
+
+
+_Step = tuple[np.ndarray, tuple[int, ...]]
+
+
+def _controlled_steps(
+    net: Network, gates: Sequence[np.ndarray], corrections: bool = True
+) -> list[_Step]:
+    """Controlled variant on the GHZ resource; gates[j] has legs [data.., control]."""
+    d = net.d
+    f_inv = fourier(d).adjoint().mat
+    cz = _controlled_z(d)
+    adder = _controlled_add(d)
+    lres, ldata = net.leader_resource_position, net.leader_data_position
+    steps = [(f_inv, (lres,)), (cz, (lres, ldata)), (f_inv, (lres,))]
+    for j, gate in enumerate(gates, start=1):
+        rpos = net.party_resource_position(j)
+        steps += [
+            (adder, (lres, rpos)),
+            (gate, (*net.party_data_positions(j), rpos)),
+            (f_inv, (rpos,)),
+        ]
+        if corrections:
+            steps.append((cz, (rpos, ldata)))
+    return steps
+
+
+def _xcompressed_steps(net: Network, gates: Sequence[np.ndarray]) -> list[_Step]:
+    """X-compressed variant on the Max resource; gates[j] has the leader leg last."""
+    d = net.d
+    cx = _controlled_add(d)  # sum_m |m><m| (x) X^m; its inverse is its transpose
+    cz_inv = _controlled_z(d).conj()
+    lres, ldata = net.leader_resource_position, net.leader_data_position
+    steps = [
+        (cx, (lres, ldata)),
+        (fourier(d).adjoint().mat, (lres,)),
+        (cx.T, (lres, ldata)),
+        (cx, (lres, ldata)),
+    ]
+    for j, gate in enumerate(gates, start=1):
+        rpos = net.party_resource_position(j)
+        steps += [
+            (cz_inv, (lres, rpos)),
+            (gate, (*net.party_data_positions(j), rpos)),
+            (cx, (rpos, ldata)),
+        ]
+    return steps
+
+
+def _outcome_rows(
+    net: Network, input_state: StateVector, resource: StateVector, steps: Sequence[_Step]
+) -> np.ndarray:
+    """Run the steps; rows are indexed by (l0, l1, ..., ln), columns by the data qudits."""
+    state = _initial_state(net, input_state, resource)
+    for mat, qudits in steps:
+        state = apply_to_qudits(mat, state, qudits)
+    meters = [net.leader_resource_position, *net.resource_positions[:-1]]
+    data = [p for p in range(1, net.total_qudits + 1) if p not in meters]
+    return permute_qudits(state, meters + data).amps.reshape(net.d ** (net.n + 1), -1)
+
+
+def _expected_state(
+    net: Network, gates: Sequence[np.ndarray], input_state: StateVector
+) -> StateVector:
+    """The target: each party gate on its data qudits with the leader data qudit as last leg."""
+    state, base = input_state, 0
+    for size, gate in zip(net.party_data, gates):
+        state = apply_to_qudits(gate, state, (*range(base + 1, base + size + 1), net.data_qudits))
+        base += size
+    return state
+
+
+def _check_input(net: Network, input_state: StateVector) -> None:
+    if (input_state.d, input_state.n) != (net.d, net.data_qudits):
+        raise ShapeError(
+            f"input must live on the {net.data_qudits} data qudits, got n={input_state.n}"
+        )
 
 
 def _cost_report(net: Network) -> CostReport:
@@ -344,6 +406,60 @@ def _transcript(net: Network, l0: int, returns: Sequence[int]) -> Transcript:
     msgs = [Message("leader", tuple(f"party{j}" for j in range(1, net.n + 1)), l0)]
     msgs += [Message(f"party{j}", ("leader",), int(v)) for j, v in enumerate(returns, start=1)]
     return Transcript(tuple(msgs))
+
+
+def _run(
+    net: Network,
+    resource: StateVector,
+    steps: Sequence[_Step],
+    gates: Sequence[np.ndarray],
+    input_state: StateVector,
+    mode: str,
+    tol: Tolerance,
+    seed: int | None,
+    samples: int,
+) -> ProtocolRun:
+    """One deferred-measurement pass, read out branch by branch.
+
+    ``all_branches`` lists every outcome tuple of nonzero probability in
+    lexicographic order; ``sample`` draws ``samples`` tuples from the exact
+    joint distribution.
+    """
+    rows = _outcome_rows(net, input_state, resource, steps)
+    probs = np.sum(np.abs(rows) ** 2, axis=1)
+    if mode == "all_branches":
+        picks = np.flatnonzero(probs > 1e-15)
+    elif mode == "sample":
+        picks = np.random.default_rng(seed).choice(len(probs), size=samples, p=probs / probs.sum())
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    expected = _expected_state(net, gates, input_state).amps
+    outcomes = list(itertools.product(range(net.d), repeat=net.n + 1))
+    branches = []
+    for i in picks:
+        output = StateVector(net.d, net.data_qudits, rows[i] / np.sqrt(probs[i]))
+        dev = global_phase_deviation(output.amps, expected)
+        l0, *returns = outcomes[i]
+        branches.append(
+            BranchResult(
+                outcomes=outcomes[i],
+                probability=float(probs[i]),
+                output=output,
+                match=dev <= tol.eps,
+                max_dev=dev,
+                transcript=_transcript(net, l0, returns),
+            )
+        )
+    passed = all(b.match for b in branches)
+    return ProtocolRun(net, mode, tuple(branches), _cost_report(net), passed, seed)
+
+
+def _controlled_gates(net: Network, blocks: Sequence[Sequence[Operator]]) -> list[np.ndarray]:
+    # legs [data.., control]: control qudit is last
+    return [
+        assemble_controlled(list(blist), m + 1, m + 1).mat
+        for m, blist in zip(net.party_data, blocks)
+    ]
 
 
 def run_mct_controlled(
@@ -364,82 +480,10 @@ def run_mct_controlled(
     """
     _validate_blocks(d, n, blocks, tol)
     net = Network(d, n, _party_sizes(blocks))
-    if (input_state.d, input_state.n) != (d, net.data_qudits):
-        raise ShapeError(
-            f"input must live on the {net.data_qudits} data qudits, got n={input_state.n}"
-        )
-    expected = target_unitary(d, n, blocks).apply(input_state)
-
-    state = _initial_state(net, input_state, ghz_state(d, n + 1))
-    f_inv = fourier(d).adjoint().mat
-    z = pauli(d, "Z")
-    x = pauli(d, "X")
-    cz = _controlled_z(d)
-
-    lres, ldata = net.leader_resource_position, net.leader_data_position
-    state = apply_to_qudits(f_inv, state, (lres,))
-    state = apply_to_qudits(cz, state, (lres, ldata))
-    state = apply_to_qudits(f_inv, state, (lres,))
-
-    party_gates = []
-    for j in range(1, n + 1):
-        m = net.party_data[j - 1]
-        # legs [data.., control]: control qudit is last
-        party_gates.append(assemble_controlled(list(blocks[j - 1]), m + 1, m + 1).mat)
-
-    rng = np.random.default_rng(seed) if mode == "sample" else None
-    branches: list[BranchResult] = []
-
-    def finish(leaf: StateVector, l0: int, returns: list[int], prob: float) -> None:
-        corrected = apply_to_qudits(_power_mat(z, sum(returns)), leaf, (ldata,))
-        output = _extract_data(net, corrected, [*returns, l0])
-        dev = global_phase_deviation(output.amps, expected.amps)
-        branches.append(
-            BranchResult(
-                outcomes=(l0, *returns),
-                probability=prob,
-                output=output,
-                match=dev <= tol.eps,
-                max_dev=dev,
-                transcript=_transcript(net, l0, returns),
-            )
-        )
-
-    def run_parties(s: StateVector, l0: int, j: int, returns: list[int], prob: float) -> None:
-        if j > n:
-            finish(s, l0, returns, prob)
-            return
-        rpos = net.party_resource_position(j)
-        legs = (*net.party_data_positions(j), rpos)
-        s = apply_to_qudits(_power_mat(x, l0), s, (rpos,))
-        s = apply_to_qudits(party_gates[j - 1], s, legs)
-        s = apply_to_qudits(f_inv, s, (rpos,))
-        outcomes = measure_qudit(s, rpos)
-        if mode == "sample":
-            m, p, post = outcomes[rng.choice(len(outcomes), p=_probs(outcomes))]
-            run_parties(post, l0, j + 1, returns + [m], prob * p)
-        else:
-            for m, p, post in outcomes:
-                run_parties(post, l0, j + 1, returns + [m], prob * p)
-
-    leader_outcomes = measure_qudit(state, lres)
-    if mode == "sample":
-        for _ in range(samples):
-            l0, p0, post = leader_outcomes[rng.choice(len(leader_outcomes), p=_probs(leader_outcomes))]
-            run_parties(post, l0, 1, [], p0)
-    elif mode == "all_branches":
-        for l0, p0, post in leader_outcomes:
-            run_parties(post, l0, 1, [], p0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    passed = all(b.match for b in branches)
-    return ProtocolRun(net, mode, tuple(branches), _cost_report(net), passed, seed)
-
-
-def _probs(outcomes: list[tuple[int, float, StateVector]]) -> np.ndarray:
-    p = np.array([o[1] for o in outcomes])
-    return p / p.sum()
+    _check_input(net, input_state)
+    gates = _controlled_gates(net, blocks)
+    steps = _controlled_steps(net, gates)
+    return _run(net, ghz_state(d, n + 1), steps, gates, input_state, mode, tol, seed, samples)
 
 
 def run_mct_xcompressed(
@@ -470,76 +514,10 @@ def run_mct_xcompressed(
             raise NotXCompressed(f"party {j} transformation is not X-compressed on its last leg")
 
     net = Network(d, n, tuple(op.n - 1 for op in parties))
-    if (input_state.d, input_state.n) != (d, net.data_qudits):
-        raise ShapeError(
-            f"input must live on the {net.data_qudits} data qudits, got n={input_state.n}"
-        )
-    expected = target_unitary_xcompressed(d, n, parties).apply(input_state)
-
-    state = _initial_state(net, input_state, prepare_max(d, n + 1))
-    f_inv = fourier(d).adjoint().mat
-    x = pauli(d, "X")
-    z = pauli(d, "Z")
-    dim2 = d * d
-    cx = np.zeros((dim2, dim2), dtype=complex)  # sum_m |m><m| (x) X^m
-    cx_inv = np.zeros((dim2, dim2), dtype=complex)
-    for m in range(d):
-        for k in range(d):
-            cx[m * d + (k + m) % d, m * d + k] = 1.0
-            cx_inv[m * d + (k - m) % d, m * d + k] = 1.0
-
-    lres, ldata = net.leader_resource_position, net.leader_data_position
-    state = apply_to_qudits(cx, state, (lres, ldata))
-    state = apply_to_qudits(f_inv, state, (lres,))
-    state = apply_to_qudits(cx_inv, state, (lres, ldata))
-
-    rng = np.random.default_rng(seed) if mode == "sample" else None
-    branches: list[BranchResult] = []
-
-    def finish(leaf: StateVector, l0: int, returns: list[int], prob: float) -> None:
-        corrected = apply_to_qudits(_power_mat(x, l0 + sum(returns)), leaf, (ldata,))
-        output = _extract_data(net, corrected, [*returns, l0])
-        dev = global_phase_deviation(output.amps, expected.amps)
-        branches.append(
-            BranchResult(
-                outcomes=(l0, *returns),
-                probability=prob,
-                output=output,
-                match=dev <= tol.eps,
-                max_dev=dev,
-                transcript=_transcript(net, l0, returns),
-            )
-        )
-
-    def run_parties(s: StateVector, l0: int, j: int, returns: list[int], prob: float) -> None:
-        if j > n:
-            finish(s, l0, returns, prob)
-            return
-        rpos = net.party_resource_position(j)
-        legs = (*net.party_data_positions(j), rpos)
-        s = apply_to_qudits(_power_mat(z, -l0), s, (rpos,))
-        s = apply_to_qudits(parties[j - 1].mat, s, legs)
-        outcomes = measure_qudit(s, rpos)
-        if mode == "sample":
-            m, p, post = outcomes[rng.choice(len(outcomes), p=_probs(outcomes))]
-            run_parties(post, l0, j + 1, returns + [m], prob * p)
-        else:
-            for m, p, post in outcomes:
-                run_parties(post, l0, j + 1, returns + [m], prob * p)
-
-    leader_outcomes = measure_qudit(state, lres)
-    if mode == "sample":
-        for _ in range(samples):
-            l0, p0, post = leader_outcomes[rng.choice(len(leader_outcomes), p=_probs(leader_outcomes))]
-            run_parties(post, l0, 1, [], p0)
-    elif mode == "all_branches":
-        for l0, p0, post in leader_outcomes:
-            run_parties(post, l0, 1, [], p0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    passed = all(b.match for b in branches)
-    return ProtocolRun(net, mode, tuple(branches), _cost_report(net), passed, seed)
+    _check_input(net, input_state)
+    gates = [op.mat for op in parties]
+    steps = _xcompressed_steps(net, gates)
+    return _run(net, prepare_max(d, n + 1), steps, gates, input_state, mode, tol, seed, samples)
 
 
 def trick_identity_deviation(d: int) -> float:
@@ -549,16 +527,13 @@ def trick_identity_deviation(d: int) -> float:
     controlled X on the target equals the bare meter: the per-outcome Kraus
     maps agree exactly as operators.
     """
-    x = pauli(d, "X")
-    cx_inv = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for k in range(d):
-            cx_inv[m * d + (k - m) % d, m * d + k] = 1.0
+    x = pauli(d, "X").mat
+    cx_inv = _controlled_add(d).T
     worst = 0.0
     for m in range(d):
         bra = np.zeros((d, d * d), dtype=complex)
         bra[:, m * d : (m + 1) * d] = np.eye(d)  # <m|_ctrl (x) I_target
-        tricked = _power_mat(x, m) @ bra @ cx_inv
+        tricked = np.linalg.matrix_power(x, m) @ bra @ cx_inv
         worst = max(worst, float(np.max(np.abs(tricked - bra))))
     return worst
 
@@ -578,27 +553,15 @@ def leader_reduced_density(
     """
     _validate_blocks(d, n, blocks, tol)
     net = Network(d, n, _party_sizes(blocks))
-    state = _initial_state(net, input_state, ghz_state(d, n + 1))
-    f_inv = fourier(d).adjoint().mat
-    x = pauli(d, "X")
-    cz = _controlled_z(d)
-    lres, ldata = net.leader_resource_position, net.leader_data_position
-    state = apply_to_qudits(f_inv, state, (lres,))
-    state = apply_to_qudits(cz, state, (lres, ldata))
-    state = apply_to_qudits(f_inv, state, (lres,))
-
-    post_l0 = [o for o in measure_qudit(state, lres) if o[0] == l0]
-    if not post_l0:
+    _check_input(net, input_state)
+    steps = _controlled_steps(net, _controlled_gates(net, blocks), corrections=False)
+    rows = _outcome_rows(net, input_state, ghz_state(d, n + 1), steps)
+    # party meters dephase the resource qudits in the computational basis;
+    # the leader-data reduced state is unchanged by that, so tracing the
+    # whole l0 block out is exactly the outcome-averaged state
+    block = rows[l0 * d**n : (l0 + 1) * d**n].reshape(-1)
+    p = float(np.vdot(block, block).real)
+    if p <= 1e-15:
         raise ValueError(f"branch l0={l0} has zero probability")
-    s = post_l0[0][2]
-    for j in range(1, n + 1):
-        rpos = net.party_resource_position(j)
-        legs = (*net.party_data_positions(j), rpos)
-        gate = assemble_controlled(list(blocks[j - 1]), net.party_data[j - 1] + 1, net.party_data[j - 1] + 1).mat
-        s = apply_to_qudits(_power_mat(x, l0), s, (rpos,))
-        s = apply_to_qudits(gate, s, legs)
-        s = apply_to_qudits(f_inv, s, (rpos,))
-    # party meters are dephasing in the computational basis on the resource
-    # qudits; the leader-data reduced state is unchanged by that dephasing,
-    # so the partial trace of s is exactly the outcome-averaged state.
-    return partial_trace(s, [ldata])
+    kept = n + net.data_qudits
+    return partial_trace(StateVector(d, kept, block / np.sqrt(p)), [kept])

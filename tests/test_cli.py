@@ -45,11 +45,17 @@ def test_relations_unknown_id(capsys):
     assert code == 2
 
 
-def test_relations_threads_match_single(capsys, tmp_path):
+def test_relations_byte_identical_for_same_config(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli(capsys, "relations", "--d", "2", "--out", str(f1))[0] == 0
-    assert run_cli(capsys, "relations", "--d", "2", "--threads", "4", "--out", str(f2))[0] == 0
+    for f in (f1, f2):
+        assert run_cli(capsys, "relations", "--d", "2", "--out", str(f))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_nonpositive_tolerance_rejected(capsys):
+    code, _, err = run_cli(capsys, "relations", "--d", "2", "--tol", "0")
+    assert code == 2
+    assert "error" in err
 
 
 def test_eval_pauli_x_file(capsys, tmp_path):
@@ -161,6 +167,42 @@ def test_mct_sample_mode(capsys):
                            "--seed", "1", "--mode", "sample")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_mct_sample_trials_draw_independently(capsys, tmp_path):
+    f1, f2 = tmp_path / "s1.json", tmp_path / "s2.json"
+    for f in (f1, f2):
+        code, _, _ = run_cli(capsys, "mct", "--d", "3", "--n", "2", "--random", "3",
+                             "--seed", "1", "--mode", "sample", "--out", str(f))
+        assert code == 0
+    assert f1.read_bytes() == f2.read_bytes()
+    draws = [[b["outcomes"] for b in r["branches"]] for r in json.loads(f1.read_text())["runs"]]
+    assert len(draws) == 3 and not draws[0] == draws[1] == draws[2]
+
+
+def test_mct_rejects_mismatched_blocks_file(capsys, tmp_path):
+    cnot_blocks = {
+        "d": 2,
+        "n": 1,
+        "parties": [
+            [
+                json.loads(algebra.operator_to_json(Operator.identity(2))),
+                json.loads(algebra.operator_to_json(pauli(2, "X"))),
+            ]
+        ],
+    }
+    path = tmp_path / "cnot_blocks.json"
+    path.write_text(json.dumps(cnot_blocks))
+    code, out, err = run_cli(capsys, "mct", "--d", "5", "--n", "4", "--blocks", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "d=2, n=1" in err
+
+
+def test_mct_rejects_zero_random_trials(capsys):
+    code, _, err = run_cli(capsys, "mct", "--d", "2", "--n", "1", "--random", "0")
+    assert code == 2
+    assert "error" in err
 
 
 def test_mct_rejects_non_unitary_blocks(capsys, tmp_path):

@@ -223,3 +223,6 @@ def test_verdict_grading():
     rng = np.random.default_rng(5)
     noise = 1e-8 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     assert compression_verdict(Operator(2, 2, cnot.mat + noise), 1, "Z") == "indeterminate"
+    # the fail threshold is relative to max|T| too, so scaling does not change the verdict
+    tiny = Operator(2, 2, 1e-8 * random_unitary(2, 2, np.random.default_rng(3)).mat)
+    assert compression_verdict(tiny, 1, "Z") == "not_compressed"

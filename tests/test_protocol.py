@@ -18,6 +18,8 @@ from paradiag.algebra import (
 from paradiag.compression import NotXCompressed, assemble_controlled
 from paradiag.protocol import (
     Network,
+    _controlled_gates,
+    _expected_state,
     leader_reduced_density,
     measure_qudit,
     run_mct_controlled,
@@ -106,7 +108,7 @@ def test_target_unitary_qutrit_controlled_z():
     assert target.is_unitary()
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 3), (3, 4)])
 def test_mct_controlled_random_blocks(d, n):
     rng = np.random.default_rng(d * 100 + n)
     blocks = [[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)]
@@ -163,6 +165,8 @@ def test_mct_rejects_wrong_input_size():
     blocks = [[Operator.identity(2), pauli(2, "X")]]
     with pytest.raises(ValueError):
         run_mct_controlled(2, 1, blocks, basis_state(2, [0, 0, 0]))
+    with pytest.raises(ValueError, match="data qudits"):
+        leader_reduced_density(2, 1, blocks, basis_state(2, [0, 0, 0]), 0)
 
 
 def test_cost_report_and_transcript():
@@ -191,7 +195,7 @@ def test_mct_sample_mode_deterministic():
     assert [b.outcomes for b in run1.branches] == [b.outcomes for b in run2.branches]
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4)])
 def test_mct_xcompressed_random(d, n):
     rng = np.random.default_rng(d * 10 + n)
     parties = [_x_compressed_gate(d, 1, rng) for _ in range(n)]
@@ -201,6 +205,33 @@ def test_mct_xcompressed_random(d, n):
     assert len(run.branches) == d ** (n + 1)
     for branch in run.branches:
         assert branch.probability == pytest.approx(d ** -(n + 1), abs=1e-9)
+
+
+def test_mct_xcompressed_sample_mode_deterministic():
+    rng = np.random.default_rng(15)
+    parties = [_x_compressed_gate(3, 1, rng) for _ in range(2)]
+    inp = _random_state(3, 3, rng)
+    run1 = run_mct_xcompressed(3, 2, parties, inp, mode="sample", seed=42, samples=7)
+    run2 = run_mct_xcompressed(3, 2, parties, inp, mode="sample", seed=42, samples=7)
+    assert run1.passed and len(run1.branches) == 7
+    assert [b.outcomes for b in run1.branches] == [b.outcomes for b in run2.branches]
+    for branch in run1.branches:
+        assert branch.probability == pytest.approx(3**-3, abs=1e-9)
+
+
+def test_expected_state_matches_target_unitaries():
+    """The per-party gates applied to the input give the target unitary's state."""
+    rng = np.random.default_rng(16)
+    d, sizes = 3, (2, 1)  # party 1 holds 2 data qudits
+    net = Network(d, len(sizes), sizes)
+    inp = _random_state(d, net.data_qudits, rng)
+    blocks = [[random_unitary(d, m, rng) for _ in range(d)] for m in sizes]
+    expected = _expected_state(net, _controlled_gates(net, blocks), inp)
+    assert np.allclose(expected.amps, target_unitary(d, 2, blocks).apply(inp).amps, atol=1e-12)
+    parties = [_x_compressed_gate(d, m, rng) for m in sizes]
+    expected = _expected_state(net, [op.mat for op in parties], inp)
+    target = target_unitary_xcompressed(d, 2, parties)
+    assert np.allclose(expected.amps, target.apply(inp).amps, atol=1e-12)
 
 
 def test_mct_xcompressed_two_qudit_party_register():

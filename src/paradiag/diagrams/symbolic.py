@@ -4,7 +4,8 @@ Matrix entries are computed by closing the diagram with charged caps on top
 and charged cups at the bottom, then reducing the closed picture with the
 relations themselves:
 
-* braids are expanded into charge sums first (one term per Z_d choice);
+* braids are expanded into charge sums first (one term per Z_d value of
+  the braid's summation variable);
 * charges are transported along their strings, picking up q**(k*l) each
   time two charges on different strings exchange heights;
 * a charge crossing the max of a cap (or min of a cup) turns left-string
@@ -14,9 +15,20 @@ relations themselves:
 * a cup meeting two distinct caps is a zig-zag: once its legs carry no
   charge it straightens freely, the two caps fusing into one.
 
-Every per-term scalar is tracked exactly as a PhaseExponent; the only
-numeric constant is the braid normalizer 1/sqrt(omega*d), one factor per
-braid, common to all terms.
+Which charges move, and where fused caps go, depends only on the column
+topology, never on charge values.  So each diagram is compiled once: every
+charge of the closed template is an integer affine form in the variables
+(the output labels, the input labels and one summation variable per braid),
+and a single reduction over forms yields
+
+* the number L of removed loops,
+* an integer quadratic form Q, the zeta exponent (q = zeta**2), and
+* one linear form per loop, its total charge, which must vanish mod d.
+
+An entry's braid term is then exactly sqrt(d)**L * zeta**Q, or 0 when some
+loop is not neutral; all d**(n_in+n_out) entries of one braid term come from
+one numpy evaluation.  The only numeric constant is the braid normalizer
+1/sqrt(omega*d), one factor per braid, common to all terms.
 
 The reduction works on a token list ordered top to bottom.  Columns (the
 static vertical string segments found by ``ir.trace_strands``) carry a
@@ -28,12 +40,14 @@ Termination: every iteration deletes one cup.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from ..scalars import PhaseExponent, sqrt_omega_d
+from .builtins import _bra_slices, _ket_slices
 from .dense import DiagramValue
 from .ir import (
     BRAID_NEG,
@@ -62,182 +76,116 @@ class ClosedDiagramValue:
         return self.phase.to_complex()
 
 
-# --- braid and multicharge expansion ---------------------------------------
+# --- the closed template ----------------------------------------------------
 
 
-def _expand_terms(diag: Diagram) -> tuple[complex, list[tuple[PhaseExponent, tuple[Generator, ...]]]]:
-    """Resolve braids into charge sums and multicharges into ordered charges.
+def _template(diag: Diagram) -> tuple[Diagram, dict[int, tuple[int, int]], int, int]:
+    """Close the diagram over symbolic labels and expand braids and multicharges.
 
-    Returns the common numeric braid normalizer and a list of
-    (exact phase, braid-free charge/cap/cup slices) terms.
+    Variable 0 is the constant 1, variables 1..n_out the output labels,
+    then the n_in input labels, then one summation variable per braid in
+    slice order.  Returns the closed braid-free diagram, the charge of each
+    charge slice as (variable, coefficient), the constant multicharge
+    twist (a zeta exponent) and the variable count.  Constants are reduced
+    mod d*d, which moves no zeta exponent mod d*d and no loop total mod d,
+    so the integer forms stay small whatever charges the diagram carries.
     """
-    d = diag.d
-    braid_slots = [i for i, s in enumerate(diag.slices) if s.kind in (BRAID_POS, BRAID_NEG)]
-    numeric = 1.0 + 0j
-    for i in braid_slots:
-        w = 1.0 / sqrt_omega_d(d)
-        numeric *= w if diag.slices[i].kind == BRAID_POS else np.conj(w)
+    dd = diag.d * diag.d
+    n_in, n_out = diag.n_in, diag.n_out
+    slices = _ket_slices(n_in, [0] * n_in)
+    forms = {n_in + j: (1 + n_out + j, 1) for j in range(n_in)}  # ket charge j: +x_in[j]
+    twist = 0
+    braid_var = 1 + n_out + n_in
 
-    terms: list[tuple[PhaseExponent, tuple[Generator, ...]]] = []
-    for choice in itertools.product(range(d), repeat=len(braid_slots)):
-        picked = dict(zip(braid_slots, choice))
-        phase = PhaseExponent.one(d)
-        slices: list[Generator] = []
-        for i, s in enumerate(diag.slices):
-            if s.kind == BRAID_POS:
-                k = picked[i]
-                slices.append(Generator(CHARGE, pos=s.pos, k=k))
-                slices.append(Generator(CHARGE, pos=s.pos + 1, k=-k))
-            elif s.kind == BRAID_NEG:
-                k = picked[i]
-                slices.append(Generator(CHARGE, pos=s.pos + 1, k=k))
-                slices.append(Generator(CHARGE, pos=s.pos, k=-k))
-            elif s.kind == MULTICHARGE:
-                ks = [k for _, k in s.items]
-                twist = -sum(ks[i1] * ks[j1] for i1 in range(len(ks)) for j1 in range(i1 + 1, len(ks)))
-                phase = phase.times_zeta(twist)
-                for p, k in reversed(s.items):  # rightmost charge highest
-                    slices.append(Generator(CHARGE, pos=p, k=k))
-            elif s.kind == STRAND:
-                continue
-            else:
-                slices.append(s)
-        terms.append((phase, tuple(slices)))
-    return numeric, terms
+    def charge(pos: int, var: int, coef: int) -> None:
+        forms[len(slices)] = (var, coef)
+        slices.append(Generator(CHARGE, pos=pos))
+
+    for s in diag.slices:
+        if s.kind in (BRAID_POS, BRAID_NEG):
+            up, down = (s.pos, s.pos + 1) if s.kind == BRAID_POS else (s.pos + 1, s.pos)
+            charge(up, braid_var, 1)
+            charge(down, braid_var, -1)
+            braid_var += 1
+        elif s.kind == MULTICHARGE:
+            ks = [k for _, k in s.items]
+            twist -= sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks)))
+            for p, k in reversed(s.items):  # rightmost charge highest
+                charge(p, 0, k % dd)
+        elif s.kind == CHARGE:
+            charge(s.pos, 0, s.k % dd)
+        elif s.kind != STRAND:
+            slices.append(s)
+    # bra closure: charges for qudits n_out..1 (bra charge j: -x_out[j]), then cups
+    forms.update({len(slices) + t: (n_out - t, -1) for t in range(n_out)})
+    slices += _bra_slices(n_out, [0] * n_out)
+    return Diagram(diag.d, 0, tuple(slices)), forms, twist % dd, braid_var
 
 
 # --- the closed-diagram reduction engine ------------------------------------
 
 
-class _ClosedTerm:
-    """Mutable token structure for one braid-free closed diagram."""
+def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
+    """Reduce a closed braid-free diagram by its column topology alone.
 
-    __slots__ = ("d", "tokens", "cap_legs", "cup_legs", "charges", "key", "birth")
-
-    def __init__(
-        self,
-        d: int,
-        tokens: list[tuple[str, int]],
-        cap_legs: dict[int, tuple[int, int]],
-        cup_legs: dict[int, tuple[int, int]],
-        charges: dict[int, list[int]],
-        key: dict[int, Fraction],
-        birth: dict[int, int],
-    ) -> None:
-        self.d = d
-        self.tokens = tokens
-        self.cap_legs = cap_legs
-        self.cup_legs = cup_legs
-        self.charges = charges
-        self.key = key
-        self.birth = birth
-
-    def clone(self) -> "_ClosedTerm":
-        return _ClosedTerm(
-            self.d,
-            list(self.tokens),
-            dict(self.cap_legs),
-            dict(self.cup_legs),
-            {i: list(v) for i, v in self.charges.items()},
-            self.key,
-            dict(self.birth),
-        )
-
-
-def _build_term(d: int, slices: tuple[Generator, ...]) -> _ClosedTerm:
-    diag = Diagram(d, 0, slices)
-    trace = trace_strands(diag)
+    Returns the zeta-exponent pairs ``{(i, j): c}``, meaning a factor
+    zeta**(c * k_i * k_j) for the charges k_i, k_j of slices i and j, and
+    the charge slices of each removed loop in removal order.  Every loop is
+    reduced, neutral or not; its neutrality is left to the caller.
+    """
+    trace = trace_strands(closed)
     if trace.bottom_cols:
         raise DiagramError("internal: closure did not produce a closed diagram")
-    tokens: list[tuple[str, int]] = []
-    cap_legs: dict[int, tuple[int, int]] = {}
-    cup_legs: dict[int, tuple[int, int]] = {}
-    charges: dict[int, list[int]] = {}
-    birth: dict[int, int] = {}
-    for i, s in enumerate(slices):
-        if s.kind == CAP:
-            tokens.append((CAP, i))
-            cap_legs[i] = trace.cap_legs[i]
-            for col in trace.cap_legs[i]:
-                birth[col] = i
-        elif s.kind == CUP:
-            tokens.append((CUP, i))
-            cup_legs[i] = trace.cup_legs[i]
-        elif s.kind == CHARGE:
-            tokens.append((CHARGE, i))
-            charges[i] = [trace.charge_cols[i], s.k]
-    return _ClosedTerm(d, tokens, cap_legs, cup_legs, charges, trace.key, birth)
-
-
-def _reduce_closed(term: _ClosedTerm) -> PhaseExponent:
-    """Reduce a closed term to its exact scalar value."""
-    d = term.d
-    tokens = term.tokens
-    charges = term.charges
-    key = term.key
-    phase = PhaseExponent.one(d)
+    tokens = [(s.kind, i) for i, s in enumerate(closed.slices) if s.kind in (CAP, CUP, CHARGE)]
+    cap_legs = trace.cap_legs  # fused zig-zag caps are added here
+    col = trace.charge_cols  # charge slice -> its current column
+    key = trace.key
+    birth = {c: i for i, legs in cap_legs.items() for c in legs}
+    pairs: dict[tuple[int, int], int] = defaultdict(int)
+    loops: list[list[int]] = []
     next_cap_id = -1  # fused zig-zag caps get fresh negative ids
 
-    def crossing_phase(mover_col: int, mover_k: int, start: int, stop: int) -> int:
-        """Sum of q-exponents for moving a charge up from index stop to start."""
-        e = 0
-        for kind, tid in tokens[start + 1 : stop]:
-            if kind != CHARGE:
-                continue
-            col, other_k = charges[tid]
-            if col == mover_col:
-                continue
-            if key[mover_col] < key[col]:
-                e += mover_k * other_k
-            else:
-                e -= mover_k * other_k
-        return e
-
     def move_up(idx: int, dest: int) -> None:
-        tok = tokens.pop(idx)
-        tokens.insert(dest + 1, tok)
+        """Move charge token idx up to just below index dest, exchanging heights."""
+        mover = tokens[idx][1]
+        for kind, tid in tokens[dest + 1 : idx]:
+            if kind == CHARGE and col[tid] != col[mover]:
+                pairs[mover, tid] += 2 if key[col[mover]] < key[col[tid]] else -2  # q = zeta**2
+        tokens.insert(dest + 1, tokens.pop(idx))
 
     while tokens:
         ci = next((i for i, t in enumerate(tokens) if t[0] == CUP), None)
         if ci is None:
             raise DiagramError("internal: nonempty closed diagram without a cup")
         cup_id = tokens[ci][1]
-        a, b = term.cup_legs[cup_id]
-        xa, xb = term.birth[a], term.birth[b]
+        a, b = trace.cup_legs[cup_id]
+        xa, xb = birth[a], birth[b]
         if xa == xb:
             # loop: gather every charge on either leg just below the cap
             px = tokens.index((CAP, xa))
-            la, ra = term.cap_legs[xa]
-            if (la, ra) != (a, b):
+            if cap_legs[xa] != (a, b):
                 raise DiagramError("internal: twisted cap/cup pairing in planar diagram")
-            total = 0
             moved: list[int] = []
             while True:
                 pe = next(
                     (
                         i
                         for i, t in enumerate(tokens)
-                        if t[0] == CHARGE and t[1] not in moved and charges[t[1]][0] in (a, b)
+                        if t[0] == CHARGE and t[1] not in moved and col[t[1]] in (a, b)
                     ),
                     None,
                 )
                 if pe is None:
                     break
                 tid = tokens[pe][1]
-                col, k = charges[tid]
-                phase = phase.times_q(crossing_phase(col, k, px, pe))
-                if col == a:
-                    phase = phase.times_zeta(k * k)  # across the max, left to right
-                    charges[tid][0] = b
-                total += k
                 move_up(pe, px)
+                if col[tid] == a:
+                    pairs[tid, tid] += 1  # across the max, left to right
+                    col[tid] = b
                 moved.append(tid)
-            if total % d != 0:
-                return PhaseExponent.zero(d)
-            phase = phase.times_sqrtd(1)
+            loops.append(moved)
             for tid in moved:
                 tokens.remove((CHARGE, tid))
-                del charges[tid]
             tokens.remove((CAP, xa))
             tokens.remove((CUP, cup_id))
         else:
@@ -246,27 +194,21 @@ def _reduce_closed(term: _ClosedTerm) -> PhaseExponent:
             # permits all four combinations); the SF1 sign follows the side.
             siblings = []
             for leg, cap_slice in ((a, xa), (b, xb)):
-                left_child, right_child = term.cap_legs[cap_slice]
+                left_child, right_child = cap_legs[cap_slice]
                 sibling = right_child if leg == left_child else left_child
                 sign = 1 if leg == left_child else -1
                 px = tokens.index((CAP, cap_slice))
                 while True:
                     pe = next(
-                        (
-                            i
-                            for i, t in enumerate(tokens)
-                            if t[0] == CHARGE and charges[t[1]][0] == leg
-                        ),
+                        (i for i, t in enumerate(tokens) if t[0] == CHARGE and col[t[1]] == leg),
                         None,
                     )
                     if pe is None:
                         break
                     tid = tokens[pe][1]
-                    col, k = charges[tid]
-                    phase = phase.times_q(crossing_phase(col, k, px, pe))
-                    phase = phase.times_zeta(sign * k * k)
-                    charges[tid][0] = sibling
                     move_up(pe, px)
+                    pairs[tid, tid] += sign
+                    col[tid] = sibling
                 siblings.append(sibling)
             tokens.remove((CAP, xa))
             tokens.remove((CAP, xb))
@@ -274,37 +216,46 @@ def _reduce_closed(term: _ClosedTerm) -> PhaseExponent:
             new_left, new_right = sorted(siblings, key=lambda c: key[c])
             new_cap = next_cap_id
             next_cap_id -= 1
-            term.cap_legs[new_cap] = (new_left, new_right)
-            term.birth[new_left] = new_cap
-            term.birth[new_right] = new_cap
+            cap_legs[new_cap] = (new_left, new_right)
+            birth[new_left] = new_cap
+            birth[new_right] = new_cap
             insert_at = next(
                 (
                     i
                     for i, t in enumerate(tokens)
-                    if t[0] == CHARGE and charges[t[1]][0] in (new_left, new_right)
+                    if t[0] == CHARGE and col[t[1]] in (new_left, new_right)
                 ),
                 0,
             )
             tokens.insert(insert_at, (CAP, new_cap))
-    return phase
+    return pairs, loops
 
 
-# --- closures and entrywise evaluation --------------------------------------
+def _compile(diag: Diagram) -> tuple[np.ndarray, np.ndarray]:
+    """The diagram's zeta-exponent form Q and its loop-neutrality forms.
+
+    Returns Q as a V x V integer matrix, the exponent being y @ Q @ y for
+    the variable vector y of ``_template``, and one row per removed loop,
+    the loop's total charge y @ row.
+    """
+    closed, forms, twist, n_vars = _template(diag)
+    pairs, loops = _reduce_closed(closed)
+    size = len(closed.slices)
+    charges = np.zeros((size, n_vars), dtype=np.int64)
+    for i, (var, coef) in forms.items():
+        charges[i, var] = coef
+    weights = np.zeros((size, size), dtype=np.int64)
+    for (i, j), c in pairs.items():
+        weights[i, j] = c
+    quad = charges.T @ weights @ charges
+    quad[0, 0] += twist
+    incidence = np.zeros((len(loops), size), dtype=np.int64)
+    for r, loop in enumerate(loops):
+        incidence[r, loop] = 1
+    return quad, incidence @ charges
 
 
-def _ket_closure(n: int, labels: list[int]) -> list[Generator]:
-    """Charged caps preparing |labels>; qudit 1's charge sits highest."""
-    out = [Generator(CAP, pos=2 * j - 1) for j in range(1, n + 1)]
-    for j in range(1, n + 1):
-        out.append(Generator(CHARGE, pos=2 * j, k=labels[j - 1]))
-    return out
-
-
-def _bra_closure(n: int, labels: list[int]) -> list[Generator]:
-    """Charged cups projecting on <labels|; mirror image of the ket closure."""
-    out = [Generator(CHARGE, pos=2 * j, k=-labels[j - 1]) for j in range(n, 0, -1)]
-    out.extend(Generator(CUP, pos=2 * j - 1) for j in range(n, 0, -1))
-    return out
+# --- evaluation ---------------------------------------------------------------
 
 
 def closed_value(diag: Diagram) -> ClosedDiagramValue:
@@ -317,10 +268,12 @@ def closed_value(diag: Diagram) -> ClosedDiagramValue:
         raise DiagramError("closed_value needs a diagram with no boundary points")
     if diag.has_braids():
         raise DiagramError("closed_value is exact-only; braided diagrams need evaluate_symbolic")
-    _, terms = _expand_terms(diag)
-    phase, slices = terms[0]
-    value = _reduce_closed(_build_term(diag.d, slices))
-    total = value * phase * diag.scale.phase
+    quad, loops = _compile(diag)
+    if np.any(loops[:, 0] % diag.d):
+        value = PhaseExponent.zero(diag.d)
+    else:
+        value = PhaseExponent(diag.d, int(quad[0, 0]), len(loops))
+    total = value * diag.scale.phase
     if diag.scale.quarter:
         if diag.scale.quarter % 2:
             raise DiagramError("quarter-power prefactor on a closed diagram is not exact")
@@ -328,110 +281,37 @@ def closed_value(diag: Diagram) -> ClosedDiagramValue:
     return ClosedDiagramValue(total)
 
 
-def _support_constraints(
-    base: _ClosedTerm, closure_len: int, n_in: int, n_out: int
-) -> list[tuple[int, list[tuple[bool, int, int]]]]:
-    """Per-loop charge-neutrality constraints of the closed template.
-
-    The loops of the closed diagram are the connected components of columns
-    under cap and cup legs; a loop with total charge not divisible by d
-    kills the entry, so only label assignments satisfying every constraint
-    need a reduction.  Each constraint is (body constant, [(is_input, qudit
-    index, sign), ...]).
-    """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in list(base.cap_legs.values()) + list(base.cup_legs.values()):
-        parent[find(a)] = find(b)
-    loops: dict[int, tuple[int, list[tuple[bool, int, int]]]] = {}
-    bra_start = closure_len - 2 * n_out
-    for slice_idx, (col, k) in base.charges.items():
-        root = find(col)
-        const, var = loops.setdefault(root, (0, []))
-        if n_in <= slice_idx < 2 * n_in:
-            var.append((True, slice_idx - n_in, 1))  # ket charge of qudit j+1
-        elif bra_start <= slice_idx < bra_start + n_out:
-            var.append((False, n_out - 1 - (slice_idx - bra_start), -1))
-        else:
-            loops[root] = (const + k, var)
-    return list(loops.values())
+@lru_cache(maxsize=None)
+def _phase_table(d: int, loops: int) -> np.ndarray:
+    """sqrt(d)**loops * zeta**j for j < d*d, as PhaseExponent computes it."""
+    table = np.array([PhaseExponent(d, j, loops).to_complex() for j in range(d * d)])
+    table.flags.writeable = False
+    return table
 
 
 def evaluate_symbolic(diag: Diagram) -> DiagramValue:
     """Entrywise symbolic value of a diagram, as a qudit-basis matrix."""
     d = diag.d
     n_in, n_out = diag.n_in, diag.n_out
-    numeric, terms = _expand_terms(diag)
+    n = n_in + n_out
+    numeric = 1.0 + 0j
+    for s in diag.slices:
+        if s.kind in (BRAID_POS, BRAID_NEG):
+            w = 1.0 / sqrt_omega_d(d)
+            numeric *= w if s.kind == BRAID_POS else np.conj(w)
     numeric *= diag.scale.to_complex() * float(d) ** (-(n_in + n_out) / 4)
 
-    prepared = []
-    for phase, slices in terms:
-        template_in = [0] * n_in
-        template_out = [0] * n_out
-        closure = (
-            _ket_closure(n_in, template_in) + list(slices) + _bra_closure(n_out, template_out)
-        )
-        base = _build_term(d, tuple(closure))
-        constraints = _support_constraints(base, len(closure), n_in, n_out)
-        prepared.append((phase, closure, base, constraints))
-
-    mat = np.zeros((d**n_out, d**n_in), dtype=complex)
-    for out_idx in range(d**n_out):
-        out_digits = _digits(out_idx, d, n_out)
-        for in_idx in range(d**n_in):
-            in_digits = _digits(in_idx, d, n_in)
-            total = 0j
-            hit = False
-            for phase, closure, base, constraints in prepared:
-                satisfied = True
-                for const, var in constraints:
-                    acc = const
-                    for is_input, j, sign in var:
-                        acc += sign * (in_digits[j] if is_input else out_digits[j])
-                    if acc % d:
-                        satisfied = False
-                        break
-                if not satisfied:
-                    continue
-                inst = base.clone()
-                _substitute(inst, closure, n_in, n_out, in_digits, out_digits)
-                value = _reduce_closed(inst)
-                if value.zero_flag:
-                    continue
-                hit = True
-                total += (phase * value).to_complex()
-            if hit:
-                mat[out_idx, in_idx] = total
-    return DiagramValue(d, n_in, n_out, numeric * mat)
-
-
-def _digits(index: int, d: int, n: int) -> list[int]:
-    out = [0] * n
-    for j in range(n - 1, -1, -1):
-        out[j] = index % d
-        index //= d
-    return out
-
-
-def _substitute(
-    inst: _ClosedTerm,
-    closure: list[Generator],
-    n_in: int,
-    n_out: int,
-    in_digits: list[int],
-    out_digits: list[int],
-) -> None:
-    """Rewrite the template closure charges to the requested basis labels."""
-    # ket closure: slices [0, 2*n_in): caps, then charges for qudits 1..n
-    for j in range(n_in):
-        inst.charges[n_in + j][1] = in_digits[j]
-    # bra closure: first n_out slices after the body are charges for qudits n..1
-    body = len(closure) - 2 * n_out
-    for j in range(n_out):
-        inst.charges[body + j][1] = -out_digits[n_out - 1 - j]
+    quad, loops = _compile(diag)
+    table = _phase_table(d, len(loops))
+    # row r holds variable r+1 over all entries, output labels most significant
+    labels = np.indices((d,) * n).reshape(n, d**n)
+    label_quad = np.sum(labels * (quad[1 : n + 1, 1 : n + 1] @ labels), axis=0)
+    label_loops = loops[:, 1 : n + 1] @ labels
+    both = quad + quad.T
+    acc = np.zeros(d**n, dtype=complex)
+    for choice in itertools.product(range(d), repeat=quad.shape[0] - 1 - n):
+        y = np.array((1,) + (0,) * n + choice, dtype=np.int64)
+        exponent = (label_quad + both[1 : n + 1] @ y @ labels + y @ quad @ y) % (d * d)
+        neutral = np.all((label_loops + (loops @ y)[:, None]) % d == 0, axis=0)
+        acc += np.where(neutral, table[exponent], 0)
+    return DiagramValue(d, n_in, n_out, numeric * acc.reshape(d**n_out, d**n_in))

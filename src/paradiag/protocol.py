@@ -435,16 +435,16 @@ def _run(
         raise ValueError(f"unknown mode {mode!r}")
     expected = _expected_state(net, gates, input_state).amps
     outcomes = list(itertools.product(range(net.d), repeat=net.n + 1))
+    outputs = rows[picks] / np.sqrt(probs[picks])[:, None]
+    devs = global_phase_deviation(outputs, expected).tolist()
     branches = []
-    for i in picks:
-        output = StateVector(net.d, net.data_qudits, rows[i] / np.sqrt(probs[i]))
-        dev = global_phase_deviation(output.amps, expected)
+    for i, amps, dev in zip(picks, outputs, devs):
         l0, *returns = outcomes[i]
         branches.append(
             BranchResult(
                 outcomes=outcomes[i],
                 probability=float(probs[i]),
-                output=output,
+                output=StateVector(net.d, net.data_qudits, amps),
                 match=dev <= tol.eps,
                 max_dev=dev,
                 transcript=_transcript(net, l0, returns),

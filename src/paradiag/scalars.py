@@ -152,25 +152,38 @@ class Tolerance:
             raise ValueError(f"tolerance must be positive, got {self.eps!r}")
 
 
-def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
+def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Max-norm of a - c*b where c is the best unit phase read off from b.
 
     The phase is fixed by the largest-magnitude entry of b, so modulus
     mismatches are reported as genuine deviations rather than rescaled away.
+    ``a`` may carry extra leading axes, a stack of candidates against the
+    one b; the result is then an array with one deviation per leading index,
+    each with its own phase c read off at the same pivot.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
+    lead = a.shape[: a.ndim - b.ndim]
+    if a.shape[len(lead) :] != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    pivot = b[idx]
-    if abs(pivot) == 0.0:
-        return float(np.max(np.abs(a)))
-    ratio = a[idx] / pivot
-    c = ratio / abs(ratio) if abs(ratio) > 0 else 1.0
-    return float(np.max(np.abs(a - c * b)))
+    rows = a.reshape(lead + (b.size,))
+    b = b.reshape(-1)
+    if b.size == 0:
+        dev = np.zeros(lead)
+    else:
+        idx = int(np.argmax(np.abs(b)))
+        if abs(b[idx]) == 0.0:
+            dev = np.max(np.abs(rows), axis=-1)
+        else:
+            ratio = rows[..., idx] / b[idx]
+            # hypot rounds as abs() of one complex scalar does; np.abs of an
+            # array may differ in the last bit
+            mag = np.hypot(ratio.real, ratio.imag)
+            c = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
+            # with b spelled out to the stack's shape, numpy rounds each row's
+            # product as for that row alone, one-entry rows included
+            dev = np.max(np.abs(rows - c[..., None] * np.broadcast_to(b, rows.shape)), axis=-1)
+    return dev if lead else float(dev)
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: Tolerance = Tolerance()) -> bool:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paradiag.algebra import max_state, pauli
 from paradiag.diagrams import (
@@ -156,6 +158,12 @@ def test_closed_neutral_loop_values():
     assert closed_value(charged).phase.zero_flag
     assert evaluate_dense(charged).scalar() == pytest.approx(0)
 
+    # the charged loop is removed first; reduction goes on to the neutral one
+    cap, cup = Generator(CAP, 1), Generator(CUP, 1)
+    two_loops = Diagram(3, 0, (cap, Generator(CHARGE, 2, k=1), cup, cap, cup))
+    assert closed_value(two_loops).phase.zero_flag
+    assert evaluate_dense(two_loops).scalar() == pytest.approx(0)
+
 
 def test_closed_value_rejects_braids_and_boundaries():
     with pytest.raises(DiagramError):
@@ -183,6 +191,21 @@ def test_charge_addition_and_mod_d(d):
     assert np.max(np.abs(evaluate_symbolic(bare).array - np.eye(d))) < 1e-9
 
 
+def test_symbolic_exact_for_huge_charges():
+    """Charges far beyond int64 give the value of their residue mod d*d."""
+    big = 7 * 10**30
+    for d in (2, 3):
+        shift = d * d * big
+        huge = Diagram(d, 4, (Generator(MULTICHARGE, items=((1, 1 + shift), (4, 2 - shift))),
+                              Generator(CHARGE, 2, k=shift - 1)))
+        small = Diagram(d, 4, (Generator(MULTICHARGE, items=((1, 1), (4, 2))), Generator(CHARGE, 2, k=-1)))
+        assert np.array_equal(evaluate_symbolic(huge).array, evaluate_symbolic(small).array)
+        cap, cup, minus = Generator(CAP, 1), Generator(CUP, 1), Generator(CHARGE, 2, -1)
+        far, near = (Diagram(d, 0, (cap, Generator(CHARGE, 1, k), minus, cup)) for k in (shift + 1, 1))
+        assert closed_value(far) == closed_value(near)
+        assert not closed_value(far).phase.zero_flag
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_twisted_product_distinguishes_k_plus_d(d):
     z = np.exp(1j * np.pi / d) if d % 2 == 0 else np.exp(2j * np.pi * ((d + 1) // 2) / d)
@@ -203,6 +226,27 @@ def test_backend_cross_check_quick(d):
         dense = evaluate_dense(diag).array
         symbolic = evaluate_symbolic(diag).array
         assert np.max(np.abs(dense - symbolic)) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_backends_agree_entrywise(d, seed):
+    """Dense and symbolic values agree entry by entry, not up to a phase."""
+    diag = random_diagram(d, np.random.default_rng(seed))
+    assert np.max(np.abs(evaluate_dense(diag).array - evaluate_symbolic(diag).array)) <= 1e-9
+
+
+def test_symbolic_reduces_each_diagram_once(monkeypatch):
+    """All entries and braid terms come from one reduction of one template."""
+    from paradiag.diagrams import symbolic
+
+    calls = []
+    reduce_closed = symbolic._reduce_closed
+    monkeypatch.setattr(symbolic, "_reduce_closed", lambda closed: calls.append(1) or reduce_closed(closed))
+    diag = Diagram(3, 4, (Generator(BRAID_POS, 2), Generator(CHARGE, 1, k=2), Generator(BRAID_NEG, 1)))
+    value = evaluate_symbolic(diag).array
+    assert len(calls) == 1
+    assert np.max(np.abs(value - evaluate_dense(diag).array)) < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3])

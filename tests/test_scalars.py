@@ -14,6 +14,7 @@ from paradiag.scalars import (
     PhaseExponent,
     Tolerance,
     equal_up_to_global_phase,
+    global_phase_deviation,
     omega,
     sqrt_omega_d,
     zeta,
@@ -99,3 +100,23 @@ def test_equal_up_to_global_phase_pauli_x_vs_z():
 def test_equal_up_to_global_phase_shape_mismatch():
     with pytest.raises(ValueError):
         equal_up_to_global_phase(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(9,), (1,), (3, 4)])
+def test_global_phase_deviation_stacked_equals_per_row(shape):
+    """A stack of candidates gives exactly the per-candidate deviations."""
+    rng = np.random.default_rng(sum(shape))
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    noise = rng.normal(size=(5,) + shape) + 1j * rng.normal(size=(5,) + shape)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(5,) + (1,) * len(shape)))
+    stack = phases * b + 10.0 ** rng.integers(-14, 0, size=(5,) + (1,) * len(shape)) * noise
+    stack[3] = 0  # no phase to read off: c falls back to 1
+    for ref in (b, np.zeros(shape)):
+        stacked = global_phase_deviation(stack, ref)
+        singles = [global_phase_deviation(row, ref) for row in stack]
+        assert all(type(x) is float for x in singles)
+        assert stacked.shape == (5,) and stacked.tolist() == singles
+        deeper = global_phase_deviation(stack.reshape((5, 1) + shape), ref)
+        assert deeper.shape == (5, 1) and deeper.reshape(-1).tolist() == singles
+    with pytest.raises(ValueError):
+        global_phase_deviation(stack, b.reshape(-1)[:-1] if b.size > 1 else np.zeros(2))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -26,6 +27,7 @@ from .compression import (
 )
 from .diagrams import (
     RELATION_IDS,
+    Diagram,
     DiagramError,
     check_relation,
     evaluate_dense,
@@ -79,6 +81,17 @@ def cmd_relations(args: argparse.Namespace) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
+def _eval_bytes(diag: Diagram, backend: str) -> int:
+    """Peak bytes an evaluation holds, estimated from the string counts alone.
+
+    Dense: the widest tensor, d**width rows by d**n_in columns, and its
+    output copy.  Symbolic: the d**n_out x d**n_in matrix.
+    """
+    dense = 2 * 16 * diag.d ** max(diag.widths) * diag.d**diag.n_in
+    symbolic = 16 * diag.d ** (diag.n_in + diag.n_out)
+    return {"dense": dense, "symbolic": symbolic, "both": dense + symbolic}[backend]
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
         with open(args.diagram) as fh:
@@ -88,6 +101,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     except DiagramError as exc:
         _summary(f"error: {exc}")
+        return EXIT_INVALID
+    need = _eval_bytes(diag, args.backend)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        _summary(f"error: --backend {args.backend} needs at least 2^{need.bit_length() - 1} bytes "
+                 f"for this diagram, more than the {have} bytes of physical memory")
         return EXIT_INVALID
     values = {}
     if args.backend in ("dense", "both"):

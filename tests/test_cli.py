@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from paradiag import algebra
 from paradiag.algebra import Operator, pauli
@@ -85,6 +87,36 @@ def test_eval_malformed_json_position(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", str(path))
     assert code == 2
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize("doc", [{"d": 1000000, "top": 2, "slices": []},
+                                 {"d": 2, "top": 200, "slices": []}])
+@pytest.mark.parametrize("backend", ["dense", "symbolic", "both"])
+def test_eval_refuses_oversized_diagram(capsys, tmp_path, monkeypatch, doc, backend):
+    """Too large for physical memory: exit 2 with one error line, before any evaluation."""
+    from paradiag import cli
+
+    def refuse(diag):
+        raise AssertionError("evaluated an oversized diagram")
+
+    monkeypatch.setattr(cli, "evaluate_dense", refuse)
+    monkeypatch.setattr(cli, "evaluate_symbolic", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", str(path), "--backend", backend)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_readme_example(capsys, tmp_path):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("```json\n", text.index("Diagrams:")) + len("```json\n")
+    path = tmp_path / "readme.json"
+    path.write_text(text[start : text.index("```", start)])
+    code, out, _ = run_cli(capsys, "eval", str(path))
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 def test_eval_missing_file(capsys):

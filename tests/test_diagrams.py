@@ -173,7 +173,51 @@ def test_closed_value_rejects_braids_and_boundaries():
         closed_value(braided)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def _charge_reference(t, s, k, d):
+    """c_s(k) on the string axes of t, read off its definition.
+
+    Xhat**k shifts string s by k; each string before s carries a clock tail
+    Zhat**-k, the phase q**(-k*m) on label m, applied one axis at a time.
+    """
+    q = np.exp(2j * np.pi / d)
+    out = np.roll(t, k, axis=s - 1)
+    for axis in range(s - 1):
+        shape = [1] * t.ndim
+        shape[axis] = d
+        out = out * (q ** (-k * np.arange(d))).reshape(shape)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_dense_kernel_matches_definitions(d):
+    """Charges and braids on six strings agree with their full-width definitions.
+
+    The braid is the charge-pair sum over the principal sqrt(omega*d): sum_k
+    c_p(k) c_(p+1)(-k) for the positive braid, sum_k c_(p+1)(k) c_p(-k) over
+    the conjugate for the negative one.
+    """
+    from paradiag.diagrams import dense
+
+    shape = [d] * 6 + [3]
+    rng = np.random.default_rng(50 + d)
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for s in range(1, 7):
+        for k in range(-d, 2 * d):
+            got = dense._apply_charge(t, s, k, d).reshape(shape)
+            assert np.max(np.abs(got - _charge_reference(t, s, k, d))) <= 1e-12, (s, k)
+    z = np.exp(1j * np.pi / d) if d % 2 == 0 else np.exp(2j * np.pi * ((d + 1) // 2) / d)
+    sqrt_omega_d = np.sqrt(sum(z ** (j * j) for j in range(d)) * np.sqrt(d))
+    for p in range(1, 6):
+        for positive in (True, False):
+            first, second = (p, p + 1) if positive else (p + 1, p)
+            ref = sum(_charge_reference(_charge_reference(t, first, k, d), second, -k, d)
+                      for k in range(d))
+            ref = ref / (sqrt_omega_d if positive else np.conj(sqrt_omega_d))
+            got = dense._apply_braid(t, p, d, positive).reshape(shape)
+            assert np.max(np.abs(got - ref)) <= 1e-12, (p, positive)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_braid_unitary_and_reidemeister(d):
     b = evaluate_dense(builtin("braid_pos", d)).as_operator()
     assert b.is_unitary()
@@ -249,7 +293,7 @@ def test_symbolic_reduces_each_diagram_once(monkeypatch):
     assert np.max(np.abs(value - evaluate_dense(diag).array)) < 1e-9
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_mirror_evaluates_to_adjoint(d):
     """Charge-inverting vertical reflection is the dagger, both backends."""
     from paradiag.diagrams import mirror
@@ -263,7 +307,7 @@ def test_mirror_evaluates_to_adjoint(d):
         assert np.max(np.abs(evaluate_symbolic(flipped).array - ref)) < 1e-9
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_stacking_composes(d):
     """Stacked diagrams evaluate to the matrix product of the pieces."""
     rng = np.random.default_rng(4242 + d)

@@ -27,15 +27,12 @@ __all__ = [
     "ShapeError",
     "StateVector",
     "Operator",
-    "ChargeVector",
     "pauli",
     "fourier",
     "gauss",
     "ghz_state",
     "max_state",
     "prepare_max",
-    "ghz_prep_circuit",
-    "embed_local",
     "embed_operator",
     "apply_to_qudits",
     "permute_qudits",
@@ -75,12 +72,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero state")
-        return StateVector(self.d, self.n, self.amps / nrm)
-
     def tensor(self, other: "StateVector") -> "StateVector":
         if self.d != other.d:
             raise DimensionError("tensor factors must share d")
@@ -119,9 +110,6 @@ class Operator:
     def adjoint(self) -> "Operator":
         return Operator(self.d, self.n, self.mat.conj().T)
 
-    def power(self, e: int) -> "Operator":
-        return Operator(self.d, self.n, np.linalg.matrix_power(self.mat, e))
-
     def is_unitary(self, tol: Tolerance = Tolerance()) -> bool:
         dim = self.d**self.n
         return bool(np.max(np.abs(self.mat @ self.mat.conj().T - np.eye(dim))) <= tol.eps)
@@ -130,26 +118,6 @@ class Operator:
         if (self.d, self.n) != (state.d, state.n):
             raise ShapeError("operator/state mismatch")
         return StateVector(self.d, self.n, self.mat @ state.amps)
-
-
-@dataclass(frozen=True)
-class ChargeVector:
-    """Tuple of Z_d charges with the total charge sum(k_j) mod d."""
-
-    d: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_dim(self.d)
-        object.__setattr__(self, "entries", tuple(int(k) % self.d for k in self.entries))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total_charge(self) -> int:
-        return sum(self.entries) % self.d
 
 
 def pauli(d: int, which: str) -> Operator:
@@ -222,10 +190,10 @@ def max_state(d: int, n: int) -> StateVector:
 def prepare_max(d: int, n: int) -> StateVector:
     """Resource-state preparation: (F^-1)^(x n) applied to the GHZ state."""
     f_inv = fourier(d).adjoint().mat
-    op = f_inv
-    for _ in range(n - 1):
-        op = np.kron(op, f_inv)
-    return StateVector(d, n, op @ ghz_state(d, n).amps)
+    state = ghz_state(d, n)
+    for j in range(1, n + 1):
+        state = apply_to_qudits(f_inv, state, (j,))
+    return state
 
 
 def _controlled_add(d: int) -> np.ndarray:
@@ -235,16 +203,6 @@ def _controlled_add(d: int) -> np.ndarray:
         for k in range(d):
             mat[l * d + (k + l) % d, l * d + k] = 1.0
     return mat
-
-
-def ghz_prep_circuit(d: int, n: int) -> StateVector:
-    """GHZ via circuit: F on qudit 1, then a chain of controlled adders."""
-    state = basis_state(d, [0] * n)
-    state = apply_to_qudits(fourier(d).mat, state, (1,))
-    adder = _controlled_add(d)
-    for j in range(1, n):
-        state = apply_to_qudits(adder, state, (j, j + 1))
-    return state
 
 
 def apply_to_qudits(op_mat: np.ndarray, state: StateVector, qudits: Sequence[int]) -> StateVector:
@@ -278,13 +236,6 @@ def embed_operator(op: Operator, qudits: Sequence[int], n: int) -> Operator:
     tensor = full.reshape([d] * (2 * n))
     tensor = tensor.transpose(inv + [n + i for i in inv])
     return Operator(d, n, tensor.reshape(d**n, d**n))
-
-
-def embed_local(op: Operator, at: int, n: int) -> Operator:
-    """Place an m-qudit operator at contiguous positions at..at+m-1 of n."""
-    if at < 1 or at + op.n - 1 > n:
-        raise ShapeError(f"position {at} with {op.n} qudits exceeds register of {n}")
-    return embed_operator(op, list(range(at, at + op.n)), n)
 
 
 def permute_qudits(state: StateVector, perm: Sequence[int]) -> StateVector:

@@ -81,6 +81,16 @@ def cmd_relations(args: argparse.Namespace) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
+def _refuse_oversized(need: int, what: str, subject: str) -> bool:
+    """Report and return True when ``need`` bytes exceed physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need <= have:
+        return False
+    _summary(f"error: {what} needs at least 2^{need.bit_length() - 1} bytes "
+             f"for {subject}, more than the {have} bytes of physical memory")
+    return True
+
+
 def _eval_bytes(diag: Diagram, backend: str) -> int:
     """Peak bytes an evaluation holds, estimated from the string counts alone.
 
@@ -102,11 +112,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except DiagramError as exc:
         _summary(f"error: {exc}")
         return EXIT_INVALID
-    need = _eval_bytes(diag, args.backend)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        _summary(f"error: --backend {args.backend} needs at least 2^{need.bit_length() - 1} bytes "
-                 f"for this diagram, more than the {have} bytes of physical memory")
+    if _refuse_oversized(_eval_bytes(diag, args.backend), f"--backend {args.backend}",
+                         "this diagram"):
         return EXIT_INVALID
     values = {}
     if args.backend in ("dense", "both"):
@@ -205,6 +212,11 @@ def _random_input(d: int, n_data: int, rng: np.random.Generator) -> StateVector:
     return StateVector(d, n_data, amps / np.linalg.norm(amps))
 
 
+def _mct_refused(d: int, qudits: int) -> bool:
+    """Refuse a register of ``qudits`` qudits: a run holds about four copies of its state."""
+    return _refuse_oversized(4 * 16 * d**qudits, "mct", f"a register of {qudits} qudits")
+
+
 def cmd_mct(args: argparse.Namespace) -> int:
     if args.d < 2 or args.n < 1:
         _summary(f"error: need d >= 2 and n >= 1, got d={args.d}, n={args.n}")
@@ -224,12 +236,16 @@ def cmd_mct(args: argparse.Namespace) -> int:
                 _summary(f"error: {args.blocks} holds d={d}, n={n}, "
                          f"but --d {args.d} --n {args.n} was given")
                 return EXIT_INVALID
+            if _mct_refused(d, sum(b[0].n for b in parties if b) + n + 2):
+                return EXIT_INVALID
             rng = np.random.default_rng(args.seed)
             if input_state is None:
                 input_state = _random_input(d, sum(b[0].n for b in parties) + 1, rng)
             run = run_mct_controlled(d, n, parties, input_state, mode=args.mode, tol=tol, seed=args.seed)
             runs.append(run)
         else:
+            if _mct_refused(args.d, 2 * args.n + 2):
+                return EXIT_INVALID
             rng = np.random.default_rng(args.seed)
             # one sampling seed per trial, so sample-mode trials draw independently
             for child in np.random.SeedSequence(args.seed).spawn(args.random):

@@ -64,17 +64,11 @@ class XDecomposition:
     components: tuple[Operator, ...]
 
 
-def _axis_pauli(d: int, axis: str) -> Operator:
-    if axis not in ("X", "Y", "Z"):
-        raise ValueError(f"axis must be 'X', 'Y' or 'Z', got {axis!r}")
-    return pauli(d, axis)
-
-
 def commutator_norm(op: Operator, j: int, axis: str) -> float:
     """Max-entry norm of [T, P_j] for the chosen Pauli embedded at qudit j."""
     if j < 1 or j > op.n:
         raise ShapeError(f"qudit index {j} out of range for n={op.n}")
-    p = embed_operator(_axis_pauli(op.d, axis), [j], op.n).mat
+    p = embed_operator(pauli(op.d, axis), [j], op.n).mat
     return float(np.max(np.abs(op.mat @ p - p @ op.mat)))
 
 
@@ -144,15 +138,6 @@ def assemble_controlled(blocks: list[Operator] | tuple[Operator, ...], j: int, n
     return Operator(d, n, t.reshape(d**n, d**n))
 
 
-def _fourier_conjugate(op: Operator, j: int, inverse: bool) -> Operator:
-    f = fourier(op.d)
-    f_j = embed_operator(f, [j], op.n)
-    fi_j = embed_operator(f.adjoint(), [j], op.n)
-    if inverse:
-        return fi_j @ op @ f_j
-    return f_j @ op @ fi_j
-
-
 def x_components(op: Operator, j: int, tol: Tolerance = Tolerance()) -> XDecomposition:
     """Extract T'(l) with T = sum_l X^l_j (x) T'(l).
 
@@ -163,8 +148,8 @@ def x_components(op: Operator, j: int, tol: Tolerance = Tolerance()) -> XDecompo
     d = op.d
     if not is_compressed(op, j, "X", tol):
         raise NotXCompressed(f"commutator with X_{j} has norm {commutator_norm(op, j, 'X'):.3e}")
-    conj = _fourier_conjugate(op, j, inverse=False)
-    ctrl = controlled_blocks(conj, j, tol)
+    f_j = embed_operator(fourier(d), [j], op.n)
+    ctrl = controlled_blocks(f_j @ op @ f_j.adjoint(), j, tol)
     q_mat = fourier(d).mat * np.sqrt(d)  # q**(l*m) table
     comps = []
     for m in range(d):
@@ -192,10 +177,8 @@ def assemble_x_form(components: list[Operator] | tuple[Operator, ...], j: int, n
 
 def y_to_x_transport(op: Operator, j: int) -> Operator:
     """G^-1_j T G_j: Y-compression of T at j becomes X-compression here."""
-    g = gauss(op.d)
-    g_j = embed_operator(g, [j], op.n)
-    gi_j = embed_operator(g.adjoint(), [j], op.n)
-    return gi_j @ op @ g_j
+    g_j = embed_operator(gauss(op.d), [j], op.n)
+    return g_j.adjoint() @ op @ g_j
 
 
 def verify_compressed_witness(

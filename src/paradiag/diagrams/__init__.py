@@ -17,7 +17,7 @@ from .ir import (
 )
 from .builtins import builtin
 from .dense import DiagramValue, evaluate_dense
-from .symbolic import ClosedDiagramValue, closed_value, evaluate_symbolic
+from .symbolic import closed_value, evaluate_symbolic
 from .relations import RELATION_IDS, RelationReport, check_relation
 from .random_gen import random_diagram
 
@@ -38,7 +38,6 @@ __all__ = [
     "builtin",
     "DiagramValue",
     "evaluate_dense",
-    "ClosedDiagramValue",
     "closed_value",
     "evaluate_symbolic",
     "RELATION_IDS",

@@ -25,9 +25,7 @@ from .ir import (
     Generator,
 )
 
-__all__ = ["builtin", "basis_ket", "matrix_unit", "BUILTIN_NAMES"]
-
-BUILTIN_NAMES = ("I", "X", "Y", "Z", "bell", "braid_pos", "braid_neg")
+__all__ = ["builtin", "basis_ket", "matrix_unit"]
 
 
 def _ket_slices(n: int, labels: Sequence[int]) -> list[Generator]:
@@ -72,12 +70,11 @@ def max_diagram(d: int, n: int) -> Diagram:
     return Diagram(d, 0, tuple(slices), DiagramScale.of(d, quarter=-n))
 
 
-def builtin(name: str, d: int, n: int | None = None, labels: Sequence[int] | None = None,
-            bra: Sequence[int] | None = None) -> Diagram:
+def builtin(name: str, d: int, n: int | None = None) -> Diagram:
     """Construct a named diagram.
 
-    Names: I, X, Y, Z (one qudit), bell, braid_pos, braid_neg, max (needs n),
-    basis (needs labels), matrix_unit (needs labels and bra).
+    Names: I, X, Y, Z (one qudit), bell, braid_pos, braid_neg, max (needs n).
+    Basis kets and matrix units are ``basis_ket`` and ``matrix_unit``.
     """
     if name == "I":
         return Diagram(d, 2, ())
@@ -93,14 +90,6 @@ def builtin(name: str, d: int, n: int | None = None, labels: Sequence[int] | Non
         if n is None:
             raise DiagramError("builtin 'max' needs the qudit count n")
         return max_diagram(d, n)
-    if name == "basis":
-        if labels is None:
-            raise DiagramError("builtin 'basis' needs charge labels")
-        return basis_ket(d, labels)
-    if name == "matrix_unit":
-        if labels is None or bra is None:
-            raise DiagramError("builtin 'matrix_unit' needs ket and bra labels")
-        return matrix_unit(d, labels, bra)
     if name == "braid_pos":
         return Diagram(d, 2, (Generator(BRAID_POS, pos=1),))
     if name == "braid_neg":

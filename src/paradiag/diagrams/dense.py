@@ -245,6 +245,6 @@ def evaluate_dense(diag: Diagram) -> DiagramValue:
             tensor = _apply_multicharge(tensor, s.items, d)
     for i in range(n_out):  # output restriction, one string pair at a time
         tensor = np.matmul(_pair_adjoint(d), tensor.reshape(d**i, d * d, -1))
-    scale = diag.scale.to_complex() * float(d) ** (turn_excess(diag, close_boundaries=True) / 4)
+    scale = diag.scale.to_complex() * float(d) ** (turn_excess(diag) / 4)
     mat = tensor.reshape(d**n_out, cols) * (scale * _order_phases(d, n_out))[:, np.newaxis]
     return DiagramValue(d, n_in, n_out, mat)

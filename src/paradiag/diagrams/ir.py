@@ -169,9 +169,6 @@ class Diagram:
     def n_out(self) -> int:
         return self.bottom // 2
 
-    def scaled(self, scale: DiagramScale) -> "Diagram":
-        return Diagram(self.d, self.top, self.slices, self.scale * scale)
-
     def has_braids(self) -> bool:
         return any(s.kind in (BRAID_POS, BRAID_NEG) for s in self.slices)
 
@@ -363,14 +360,12 @@ def trace_strands(diag: Diagram) -> StrandTrace:
     )
 
 
-def turn_excess(diag: Diagram, close_boundaries: bool = False) -> int:
-    """Total caps+cups beyond the minimum the strand topology requires.
+def turn_excess(diag: Diagram) -> int:
+    """Caps+cups of the matrix-entry closure beyond the minimum its topology needs.
 
-    Per strand the minimum is 0 for a through string, 1 for an arc with both
-    ends on one boundary, 2 for a closed loop.  With ``close_boundaries``
-    the qudit pairs (2i-1, 2i) on both boundaries are capped off first, so
-    the count matches the matrix-entry closures (every strand a loop).  The
-    excess is always even.
+    The qudit pairs (2i-1, 2i) on both boundaries are capped off first, as
+    in the matrix-entry closures, so every strand is a loop and needs two
+    turns: the excess is the arc count less twice the loop count, always even.
     """
     trace = trace_strands(diag)
     parent: dict[int, int] = {}
@@ -381,35 +376,9 @@ def turn_excess(diag: Diagram, close_boundaries: bool = False) -> int:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
     arcs = list(trace.cap_legs.values()) + list(trace.cup_legs.values())
-    if close_boundaries:
-        for cols in (trace.top_cols, trace.bottom_cols):
-            arcs.extend((cols[2 * i], cols[2 * i + 1]) for i in range(len(cols) // 2))
+    for cols in (trace.top_cols, trace.bottom_cols):
+        arcs.extend((cols[2 * i], cols[2 * i + 1]) for i in range(len(cols) // 2))
     for a, b in arcs:
-        union(a, b)
-    turns: dict[int, int] = {}
-    for legs in arcs:
-        r = find(legs[0])
-        turns[r] = turns.get(r, 0) + 1
-    tops: dict[int, int] = {}
-    bottoms: dict[int, int] = {}
-    if not close_boundaries:
-        for c in trace.top_cols:
-            tops[find(c)] = tops.get(find(c), 0) + 1
-        for c in trace.bottom_cols:
-            bottoms[find(c)] = bottoms.get(find(c), 0) + 1
-    roots = set(turns) | set(tops) | set(bottoms)
-    excess = 0
-    for r in roots:
-        t, b = tops.get(r, 0), bottoms.get(r, 0)
-        if t + b == 0:
-            minimal = 2
-        elif t == 1 and b == 1:
-            minimal = 0
-        else:
-            minimal = 1
-        excess += turns.get(r, 0) - minimal
-    return excess
+        parent[find(a)] = find(b)
+    return len(arcs) - 2 * len({find(a) for a, _ in arcs})

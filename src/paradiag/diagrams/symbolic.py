@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,17 +62,7 @@ from .ir import (
     trace_strands,
 )
 
-__all__ = ["ClosedDiagramValue", "closed_value", "evaluate_symbolic"]
-
-
-@dataclass(frozen=True)
-class ClosedDiagramValue:
-    """Exact scalar of a single (braid-free) closed diagram."""
-
-    phase: PhaseExponent
-
-    def to_complex(self) -> complex:
-        return self.phase.to_complex()
+__all__ = ["closed_value", "evaluate_symbolic"]
 
 
 # --- the closed template ----------------------------------------------------
@@ -192,6 +181,9 @@ def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[li
             # zig-zag: clear both legs across their own caps, then fuse the
             # caps into one.  A leg may be either child of its cap (nesting
             # permits all four combinations); the SF1 sign follows the side.
+            # The fused cap takes the height of the higher cap, so every
+            # string nested inside the fused arc is born below it.
+            insert_at = min(tokens.index((CAP, xa)), tokens.index((CAP, xb)))
             siblings = []
             for leg, cap_slice in ((a, xa), (b, xb)):
                 left_child, right_child = cap_legs[cap_slice]
@@ -219,14 +211,6 @@ def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[li
             cap_legs[new_cap] = (new_left, new_right)
             birth[new_left] = new_cap
             birth[new_right] = new_cap
-            insert_at = next(
-                (
-                    i
-                    for i, t in enumerate(tokens)
-                    if t[0] == CHARGE and col[t[1]] in (new_left, new_right)
-                ),
-                0,
-            )
             tokens.insert(insert_at, (CAP, new_cap))
     return pairs, loops
 
@@ -258,7 +242,7 @@ def _compile(diag: Diagram) -> tuple[np.ndarray, np.ndarray]:
 # --- evaluation ---------------------------------------------------------------
 
 
-def closed_value(diag: Diagram) -> ClosedDiagramValue:
+def closed_value(diag: Diagram) -> PhaseExponent:
     """Exact scalar of a closed, braid-free diagram.
 
     The zero flag of the result is set exactly when some loop carries a
@@ -278,7 +262,7 @@ def closed_value(diag: Diagram) -> ClosedDiagramValue:
         if diag.scale.quarter % 2:
             raise DiagramError("quarter-power prefactor on a closed diagram is not exact")
         total = total.times_sqrtd(diag.scale.quarter // 2)
-    return ClosedDiagramValue(total)
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -66,8 +66,6 @@ from .scalars import Tolerance, global_phase_deviation, zeta
 
 __all__ = [
     "Network",
-    "Message",
-    "Transcript",
     "CostReport",
     "BranchResult",
     "ProtocolRun",
@@ -122,41 +120,6 @@ class Network:
             self.leader_resource_position
         ]
 
-    def layout(self) -> dict[str, object]:
-        owners = {}
-        for j in range(1, self.n + 1):
-            for pos in self.party_data_positions(j):
-                owners[pos] = f"party{j}.data"
-            owners[self.party_resource_position(j)] = f"party{j}.resource"
-        owners[self.leader_resource_position] = "leader.resource"
-        owners[self.leader_data_position] = "leader.data"
-        return {str(k): v for k, v in sorted(owners.items())}
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: str
-    receivers: tuple[str, ...]
-    value: int
-
-    @property
-    def cdits(self) -> int:
-        return len(self.receivers)
-
-
-@dataclass(frozen=True)
-class Transcript:
-    messages: tuple[Message, ...]
-
-    @property
-    def cdit_count(self) -> int:
-        return sum(m.cdits for m in self.messages)
-
-    @property
-    def depth(self) -> int:
-        """Rounds of communication (broadcast, then parallel returns)."""
-        return 2 if self.messages else 0
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -165,23 +128,14 @@ class CostReport:
     cdits: int
     baseline_bqst: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "resource_states": self.resource_states,
-            "resource_qudits": self.resource_qudits,
-            "cdits": self.cdits,
-            "baseline_bqst": dict(self.baseline_bqst),
-        }
-
 
 @dataclass(frozen=True)
 class BranchResult:
-    outcomes: tuple[int, ...]  # (l0, l1, ..., ln)
+    outcomes: tuple[int, ...]  # (l0, l1, ..., ln): the broadcast dit, then each return
     probability: float
     output: StateVector
     match: bool
     max_dev: float
-    transcript: Transcript
 
 
 @dataclass(frozen=True)
@@ -402,12 +356,6 @@ def _cost_report(net: Network) -> CostReport:
     )
 
 
-def _transcript(net: Network, l0: int, returns: Sequence[int]) -> Transcript:
-    msgs = [Message("leader", tuple(f"party{j}" for j in range(1, net.n + 1)), l0)]
-    msgs += [Message(f"party{j}", ("leader",), int(v)) for j, v in enumerate(returns, start=1)]
-    return Transcript(tuple(msgs))
-
-
 def _run(
     net: Network,
     resource: StateVector,
@@ -439,7 +387,6 @@ def _run(
     devs = global_phase_deviation(outputs, expected).tolist()
     branches = []
     for i, amps, dev in zip(picks, outputs, devs):
-        l0, *returns = outcomes[i]
         branches.append(
             BranchResult(
                 outcomes=outcomes[i],
@@ -447,7 +394,6 @@ def _run(
                 output=StateVector(net.d, net.data_qudits, amps),
                 match=dev <= tol.eps,
                 max_dev=dev,
-                transcript=_transcript(net, l0, returns),
             )
         )
     passed = all(b.match for b in branches)

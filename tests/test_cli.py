@@ -255,6 +255,28 @@ def test_mct_rejects_non_unitary_blocks(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("source", ["random", "blocks"])
+def test_mct_refuses_oversized_network(capsys, tmp_path, monkeypatch, source):
+    """42 qudits at d=2 cannot fit in memory: exit 2 with one error line, before any run."""
+    from paradiag import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran an oversized network")
+
+    monkeypatch.setattr(cli, "run_mct_controlled", refuse)
+    if source == "random":
+        extra = ("--random", "1")
+    else:
+        cnot = [json.loads(algebra.operator_to_json(m)) for m in (Operator.identity(2), pauli(2, "X"))]
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps({"d": 2, "n": 20, "parties": [cnot] * 20}))
+        extra = ("--blocks", str(path))
+    code, out, err = run_cli(capsys, "mct", "--d", "2", "--n", "20", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_mct_requires_block_source(capsys):
     assert run_cli(capsys, "mct", "--d", "2", "--n", "1")[0] == 2
 

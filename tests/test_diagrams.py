@@ -28,6 +28,7 @@ from paradiag.diagrams import (
     parse_diagram,
     random_diagram,
 )
+from paradiag.diagrams.builtins import basis_ket, matrix_unit
 from paradiag.diagrams.ir import diagram_to_json
 from paradiag.scalars import PhaseExponent, equal_up_to_global_phase
 
@@ -136,33 +137,50 @@ def test_max_diagram_both_backends(d, n):
 
 def test_basis_and_matrix_unit_builtins():
     for d, labels in ((2, (0, 1)), (3, (2, 1))):
-        ket = evaluate_dense(builtin("basis", d, labels=labels)).as_state()
+        ket = evaluate_dense(basis_ket(d, labels)).as_state()
         expected = np.zeros(d ** len(labels))
         expected[labels[0] * d + labels[1]] = 1.0
         assert np.allclose(ket.amps, expected, atol=1e-9)
-    unit = evaluate_dense(builtin("matrix_unit", 2, labels=(0, 1), bra=(1, 1))).as_operator()
+    unit = evaluate_dense(matrix_unit(2, (0, 1), (1, 1))).as_operator()
     expected = np.zeros((4, 4))
     expected[0b01, 0b11] = 1.0
     assert np.allclose(unit.mat, expected, atol=1e-9)
-    sym = evaluate_symbolic(builtin("matrix_unit", 2, labels=(0, 1), bra=(1, 1)))
+    sym = evaluate_symbolic(matrix_unit(2, (0, 1), (1, 1)))
     assert np.allclose(sym.array, expected, atol=1e-9)
 
 
 def test_closed_neutral_loop_values():
     loop2 = Diagram(2, 0, (Generator(CAP, 1), Generator(CUP, 1)))
     value = closed_value(loop2)
-    assert value.phase == PhaseExponent(2, sqrtd_exp=1)
+    assert value == PhaseExponent(2, sqrtd_exp=1)
     assert value.to_complex() == pytest.approx(math.sqrt(2))
 
     charged = Diagram(3, 0, (Generator(CAP, 1), Generator(CHARGE, 2, k=1), Generator(CUP, 1)))
-    assert closed_value(charged).phase.zero_flag
+    assert closed_value(charged).zero_flag
     assert evaluate_dense(charged).scalar() == pytest.approx(0)
 
     # the charged loop is removed first; reduction goes on to the neutral one
     cap, cup = Generator(CAP, 1), Generator(CUP, 1)
     two_loops = Diagram(3, 0, (cap, Generator(CHARGE, 2, k=1), cup, cap, cup))
-    assert closed_value(two_loops).phase.zero_flag
+    assert closed_value(two_loops).zero_flag
     assert evaluate_dense(two_loops).scalar() == pytest.approx(0)
+
+
+@pytest.mark.parametrize("charges", [((5, 2), (1, 5)), ((5, 2), (6, 5)), ((5, 1), (1, 1))])
+def test_zigzag_fusion_encloses_nested_strings(charges):
+    """A straightened zig-zag is one arc around the caps born inside it.
+
+    Caps at 1, 1 and 4 joined by a cup at 2 straighten to the outer arc
+    (1, 6) around (2, 5) and (3, 4): the same state as three nested caps.
+    """
+    cap, cup = Generator(CAP, 1), Generator(CUP, 2)
+    marks = tuple(Generator(CHARGE, p, k=k) for p, k in charges)
+    snake = Diagram(3, 0, (cap, cap, Generator(CAP, 4), cup, Generator(CAP, 3)) + marks)
+    nested = Diagram(3, 0, (cap, Generator(CAP, 2), Generator(CAP, 3)) + marks)
+    ref = evaluate_dense(nested).array
+    assert np.max(np.abs(evaluate_symbolic(nested).array - ref)) <= 1e-9
+    assert np.max(np.abs(evaluate_dense(snake).array - ref)) <= 1e-9
+    assert np.max(np.abs(evaluate_symbolic(snake).array - ref)) <= 1e-9
 
 
 def test_closed_value_rejects_braids_and_boundaries():
@@ -247,7 +265,7 @@ def test_symbolic_exact_for_huge_charges():
         cap, cup, minus = Generator(CAP, 1), Generator(CUP, 1), Generator(CHARGE, 2, -1)
         far, near = (Diagram(d, 0, (cap, Generator(CHARGE, 1, k), minus, cup)) for k in (shift + 1, 1))
         assert closed_value(far) == closed_value(near)
-        assert not closed_value(far).phase.zero_flag
+        assert not closed_value(far).zero_flag
 
 
 @pytest.mark.parametrize("d", [2, 3])

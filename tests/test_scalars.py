@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,17 @@ def test_phase_exponent_product_matches_complex():
             assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-12
             assert ((a * b) * c) == (a * (b * c))
             assert a * b == b * a
+
+
+def test_phase_exponent_to_complex_bitwise_matches_fraction_reference():
+    """The integer angle reduction rounds exactly as float(Fraction) does."""
+    for d in range(1, 41):
+        for e in range(d * d):
+            for sqrtd_exp in (-3, 0, 1, 4):
+                num = (d + 1) * e if d % 2 else e
+                ref = cmath.exp(1j * math.pi * float(Fraction(num, d) % 2)) * d ** (sqrtd_exp / 2)
+                got = PhaseExponent(d, e, sqrtd_exp).to_complex()
+                assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
 
 
 def test_phase_exponent_conjugate():

@@ -26,6 +26,7 @@ from .compression import (
     y_to_x_transport,
 )
 from .diagrams import (
+    CUP,
     RELATION_IDS,
     Diagram,
     DiagramError,
@@ -95,10 +96,18 @@ def _eval_bytes(diag: Diagram, backend: str) -> int:
     """Peak bytes an evaluation holds, estimated from the string counts alone.
 
     Dense: the widest tensor, d**width rows by d**n_in columns, and its
-    output copy.  Symbolic: the d**n_out x d**n_in matrix.
+    output copy.  Symbolic, in rows of one value per entry of the
+    d**n_out x d**n_in matrix: as int64 rows, the n-row label grid and the
+    two n-row products that build its quadratic part, the cached quadratic
+    row and loop rows, two neutrality temporaries per loop and three
+    exponent temporaries; as complex rows, the phases, masked terms,
+    accumulator and result.  Loops are at most the cups of the closed
+    diagram, its own and one per output qudit.
     """
     dense = 2 * 16 * diag.d ** max(diag.widths) * diag.d**diag.n_in
-    symbolic = 16 * diag.d ** (diag.n_in + diag.n_out)
+    n = diag.n_in + diag.n_out
+    loops = diag.n_out + sum(s.kind == CUP for s in diag.slices)
+    symbolic = diag.d**n * (8 * (3 * n + 3 * loops + 4) + 16 * 4)
     return {"dense": dense, "symbolic": symbolic, "both": dense + symbolic}[backend]
 
 
@@ -199,7 +208,9 @@ def _load_blocks(path: str) -> tuple[int, int, list[list[Operator]], StateVector
         doc = json.load(fh)
     d, n = int(doc["d"]), int(doc["n"])
     parties = []
-    for blist in doc["parties"]:
+    for j, blist in enumerate(doc["parties"], start=1):
+        if not blist:
+            raise ValueError(f"{path}: party {j} has no blocks")
         parties.append([algebra.operator_from_json(json.dumps(b)) for b in blist])
     input_state = None
     if "input" in doc:
@@ -236,7 +247,7 @@ def cmd_mct(args: argparse.Namespace) -> int:
                 _summary(f"error: {args.blocks} holds d={d}, n={n}, "
                          f"but --d {args.d} --n {args.n} was given")
                 return EXIT_INVALID
-            if _mct_refused(d, sum(b[0].n for b in parties if b) + n + 2):
+            if _mct_refused(d, sum(b[0].n for b in parties) + n + 2):
                 return EXIT_INVALID
             rng = np.random.default_rng(args.seed)
             if input_state is None:

@@ -18,7 +18,8 @@ so a closed loop evaluates to sqrt(d) and the resolution of the identity
 holds on the nose.  The one relation these tensors miss is the zig-zag,
 which they satisfy only up to d**(-1/2) per straightening; the evaluator
 therefore multiplies by d**(excess/4) where ``excess`` is the turn count
-beyond the strand topology's minimum (see ``ir.turn_excess``).  With that
+beyond the strand topology's minimum (see ``ir.turn_excess``), computed once
+per charge-free shape, since it depends on the caps and cups alone.  With that
 normalization the dense value agrees with the symbolic rewrite value
 exactly, not merely up to scale.
 
@@ -60,6 +61,9 @@ from .ir import (
     MULTICHARGE,
     Diagram,
     DiagramError,
+    _SHAPE_CACHE_SIZE,
+    _shape,
+    _shape_diagram,
     turn_excess,
 )
 
@@ -223,6 +227,12 @@ def _apply_multicharge(tensor: np.ndarray, items, d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _turn_excess(shape: tuple) -> int:
+    """``turn_excess`` of every diagram of one charge-free shape."""
+    return turn_excess(_shape_diagram(shape))
+
+
 def evaluate_dense(diag: Diagram) -> DiagramValue:
     """Slice-by-slice dense value, restricted to the qudit basis.
 
@@ -245,6 +255,6 @@ def evaluate_dense(diag: Diagram) -> DiagramValue:
             tensor = _apply_multicharge(tensor, s.items, d)
     for i in range(n_out):  # output restriction, one string pair at a time
         tensor = np.matmul(_pair_adjoint(d), tensor.reshape(d**i, d * d, -1))
-    scale = diag.scale.to_complex() * float(d) ** (turn_excess(diag) / 4)
+    scale = diag.scale.to_complex() * float(d) ** (_turn_excess(_shape(diag)) / 4)
     mat = tensor.reshape(d**n_out, cols) * (scale * _order_phases(d, n_out))[:, np.newaxis]
     return DiagramValue(d, n_in, n_out, mat)

@@ -173,6 +173,29 @@ class Diagram:
         return any(s.kind in (BRAID_POS, BRAID_NEG) for s in self.slices)
 
 
+# --- charge-free shapes ----------------------------------------------------
+#
+# Everything both evaluators derive from a diagram's topology (strand
+# traces, turn counts, the symbolic reduction) depends on its shape alone:
+# d, the top width, and each slice's kind, position and multicharge item
+# positions.  Charge values and the scale are left out, so diagrams that
+# differ only in charges share one shape and one compiled form.
+
+_SHAPE_CACHE_SIZE = 512  # per shape-keyed cache; the relation suite at d = 2..8 has 147 shapes
+
+
+def _shape(diag: Diagram) -> tuple:
+    """The charge-free shape ``(d, top, ((kind, pos, item positions), ...))``."""
+    return (diag.d, diag.top, tuple((s.kind, s.pos, tuple(p for p, _ in s.items)) for s in diag.slices))
+
+
+def _shape_diagram(shape: tuple) -> Diagram:
+    """The diagram of a shape with every charge zero and unit scale."""
+    d, top, slices = shape
+    return Diagram(d, top, tuple(Generator(kind, pos, items=tuple((p, 0) for p in ps))
+                                 for kind, pos, ps in slices))
+
+
 def _slice_from_doc(i: int, doc: object) -> Generator:
     if not isinstance(doc, dict):
         raise DiagramError(f"slice {i}: expected an object, got {type(doc).__name__}")

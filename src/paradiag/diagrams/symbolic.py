@@ -16,16 +16,20 @@ relations themselves:
   charge it straightens freely, the two caps fusing into one.
 
 Which charges move, and where fused caps go, depends only on the column
-topology, never on charge values.  So each diagram is compiled once: every
-charge of the closed template is an integer affine form in the variables
-(the output labels, the input labels and one summation variable per braid),
-and a single reduction over forms yields
+topology, never on charge values.  So each charge-free shape (``ir._shape``)
+is compiled once, with its charges as parameters: every charge of the
+closed template is an integer affine form in the variables (the output
+labels, the input labels, one summation variable per braid and one
+parameter per constant charge), and a single reduction over forms yields
 
 * the number L of removed loops,
-* an integer quadratic form Q, the zeta exponent (q = zeta**2), and
+* an integer quadratic form Q, the zeta exponent (q = zeta**2), into which
+  a multicharge's twist -sum_{i<j} k_i k_j enters as -1 cross terms
+  between its parameters, and
 * one linear form per loop, its total charge, which must vanish mod d.
 
-An entry's braid term is then exactly sqrt(d)**L * zeta**Q, or 0 when some
+A call fills the parameters with the diagram's charges mod d*d.  An
+entry's braid term is then exactly sqrt(d)**L * zeta**Q, or 0 when some
 loop is not neutral; all d**(n_in+n_out) entries of one braid term come from
 one numpy evaluation.  The only numeric constant is the braid normalizer
 1/sqrt(omega*d), one factor per braid, common to all terms.
@@ -47,7 +51,7 @@ import numpy as np
 
 from ..scalars import PhaseExponent, sqrt_omega_d
 from .builtins import _bra_slices, _ket_slices
-from .dense import DiagramValue
+from .dense import DiagramValue, _frozen
 from .ir import (
     BRAID_NEG,
     BRAID_POS,
@@ -59,6 +63,9 @@ from .ir import (
     Diagram,
     DiagramError,
     Generator,
+    _SHAPE_CACHE_SIZE,
+    _shape,
+    _shape_diagram,
     trace_strands,
 )
 
@@ -68,23 +75,27 @@ __all__ = ["closed_value", "evaluate_symbolic"]
 # --- the closed template ----------------------------------------------------
 
 
-def _template(diag: Diagram) -> tuple[Diagram, dict[int, tuple[int, int]], int, int]:
+def _template(
+    diag: Diagram,
+) -> tuple[Diagram, dict[int, tuple[int, int]], list[tuple[int, int]], int, int]:
     """Close the diagram over symbolic labels and expand braids and multicharges.
 
     Variable 0 is the constant 1, variables 1..n_out the output labels,
     then the n_in input labels, then one summation variable per braid in
-    slice order.  Returns the closed braid-free diagram, the charge of each
-    charge slice as (variable, coefficient), the constant multicharge
-    twist (a zeta exponent) and the variable count.  Constants are reduced
-    mod d*d, which moves no zeta exponent mod d*d and no loop total mod d,
-    so the integer forms stay small whatever charges the diagram carries.
+    slice order, then one parameter per constant charge: the charges in
+    slice order, a multicharge's items rightmost first.  Returns the closed
+    braid-free diagram, the charge of each charge slice as {slice:
+    (variable, coefficient)}, the parameter pairs (i, j) whose product the
+    multicharge twist subtracts, the variable count and the braid count.
+    Charge values are never read: only the diagram's shape matters.
     """
-    dd = diag.d * diag.d
     n_in, n_out = diag.n_in, diag.n_out
+    braids = sum(s.kind in (BRAID_POS, BRAID_NEG) for s in diag.slices)
     slices = _ket_slices(n_in, [0] * n_in)
     forms = {n_in + j: (1 + n_out + j, 1) for j in range(n_in)}  # ket charge j: +x_in[j]
-    twist = 0
+    twist: list[tuple[int, int]] = []
     braid_var = 1 + n_out + n_in
+    param = braid_var + braids
 
     def charge(pos: int, var: int, coef: int) -> None:
         forms[len(slices)] = (var, coef)
@@ -97,18 +108,36 @@ def _template(diag: Diagram) -> tuple[Diagram, dict[int, tuple[int, int]], int, 
             charge(down, braid_var, -1)
             braid_var += 1
         elif s.kind == MULTICHARGE:
-            ks = [k for _, k in s.items]
-            twist -= sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks)))
-            for p, k in reversed(s.items):  # rightmost charge highest
-                charge(p, 0, k % dd)
+            first = param
+            for p, _ in reversed(s.items):  # rightmost charge highest
+                charge(p, param, 1)
+                param += 1
+            twist += [(i, j) for i in range(first, param) for j in range(i + 1, param)]
         elif s.kind == CHARGE:
-            charge(s.pos, 0, s.k % dd)
+            charge(s.pos, param, 1)
+            param += 1
         elif s.kind != STRAND:
             slices.append(s)
     # bra closure: charges for qudits n_out..1 (bra charge j: -x_out[j]), then cups
     forms.update({len(slices) + t: (n_out - t, -1) for t in range(n_out)})
     slices += _bra_slices(n_out, [0] * n_out)
-    return Diagram(diag.d, 0, tuple(slices)), forms, twist % dd, braid_var
+    return Diagram(diag.d, 0, tuple(slices)), forms, twist, param, braids
+
+
+def _params(diag: Diagram) -> tuple[int, ...]:
+    """The diagram's charge values in ``_template``'s parameter order, mod d*d.
+
+    Reducing mod d*d moves no zeta exponent mod d*d and no loop total mod
+    d, so the integer forms stay small whatever charges the diagram carries.
+    """
+    dd = diag.d * diag.d
+    values = []
+    for s in diag.slices:
+        if s.kind == MULTICHARGE:
+            values += [k % dd for _, k in reversed(s.items)]
+        elif s.kind == CHARGE:
+            values.append(s.k % dd)
+    return tuple(values)
 
 
 # --- the closed-diagram reduction engine ------------------------------------
@@ -215,14 +244,16 @@ def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[li
     return pairs, loops
 
 
-def _compile(diag: Diagram) -> tuple[np.ndarray, np.ndarray]:
-    """The diagram's zeta-exponent form Q and its loop-neutrality forms.
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _compile(shape: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    """A shape's zeta-exponent form Q, its loop-neutrality forms and braid count.
 
-    Returns Q as a V x V integer matrix, the exponent being y @ Q @ y for
-    the variable vector y of ``_template``, and one row per removed loop,
-    the loop's total charge y @ row.
+    Returns Q as a read-only V x V integer matrix, the exponent being
+    y @ Q @ y for the variable vector y of ``_template``, one row per
+    removed loop, the loop's total charge y @ row, and the number of braid
+    summation variables.
     """
-    closed, forms, twist, n_vars = _template(diag)
+    closed, forms, twist, n_vars, braids = _template(_shape_diagram(shape))
     pairs, loops = _reduce_closed(closed)
     size = len(closed.slices)
     charges = np.zeros((size, n_vars), dtype=np.int64)
@@ -232,11 +263,27 @@ def _compile(diag: Diagram) -> tuple[np.ndarray, np.ndarray]:
     for (i, j), c in pairs.items():
         weights[i, j] = c
     quad = charges.T @ weights @ charges
-    quad[0, 0] += twist
+    for i, j in twist:
+        quad[i, j] -= 1
     incidence = np.zeros((len(loops), size), dtype=np.int64)
     for r, loop in enumerate(loops):
         incidence[r, loop] = 1
-    return quad, incidence @ charges
+    return _frozen(quad), _frozen(incidence @ charges), braids
+
+
+@lru_cache(maxsize=None)
+def _label_grid(d: int, n: int) -> np.ndarray:
+    """Row r holds label r+1 over all d**n entries, output labels most significant."""
+    return _frozen(np.indices((d,) * n).reshape(n, d**n))
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _label_forms(shape: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The label-only parts of a shape's Q and loop forms, over all entries."""
+    quad, loops, _ = _compile(shape)
+    labels = _label_grid(shape[0], n)
+    label_quad = np.sum(labels * (quad[1 : n + 1, 1 : n + 1] @ labels), axis=0)
+    return _frozen(label_quad), _frozen(loops[:, 1 : n + 1] @ labels)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -252,11 +299,12 @@ def closed_value(diag: Diagram) -> PhaseExponent:
         raise DiagramError("closed_value needs a diagram with no boundary points")
     if diag.has_braids():
         raise DiagramError("closed_value is exact-only; braided diagrams need evaluate_symbolic")
-    quad, loops = _compile(diag)
-    if np.any(loops[:, 0] % diag.d):
+    quad, loops, _ = _compile(_shape(diag))
+    y = np.array((1,) + _params(diag), dtype=np.int64)
+    if np.any(loops @ y % diag.d):
         value = PhaseExponent.zero(diag.d)
     else:
-        value = PhaseExponent(diag.d, int(quad[0, 0]), len(loops))
+        value = PhaseExponent(diag.d, int(y @ quad @ y), len(loops))
     total = value * diag.scale.phase
     if diag.scale.quarter:
         if diag.scale.quarter % 2:
@@ -285,16 +333,16 @@ def evaluate_symbolic(diag: Diagram) -> DiagramValue:
             numeric *= w if s.kind == BRAID_POS else np.conj(w)
     numeric *= diag.scale.to_complex() * float(d) ** (-(n_in + n_out) / 4)
 
-    quad, loops = _compile(diag)
+    shape = _shape(diag)
+    quad, loops, braids = _compile(shape)
+    label_quad, label_loops = _label_forms(shape, n)
+    labels = _label_grid(d, n)
     table = _phase_table(d, len(loops))
-    # row r holds variable r+1 over all entries, output labels most significant
-    labels = np.indices((d,) * n).reshape(n, d**n)
-    label_quad = np.sum(labels * (quad[1 : n + 1, 1 : n + 1] @ labels), axis=0)
-    label_loops = loops[:, 1 : n + 1] @ labels
     both = quad + quad.T
+    params = _params(diag)
     acc = np.zeros(d**n, dtype=complex)
-    for choice in itertools.product(range(d), repeat=quad.shape[0] - 1 - n):
-        y = np.array((1,) + (0,) * n + choice, dtype=np.int64)
+    for choice in itertools.product(range(d), repeat=braids):
+        y = np.array((1,) + (0,) * n + choice + params, dtype=np.int64)
         exponent = (label_quad + both[1 : n + 1] @ y @ labels + y @ quad @ y) % (d * d)
         neutral = np.all((label_loops + (loops @ y)[:, None]) % d == 0, axis=0)
         acc += np.where(neutral, table[exponent], 0)

@@ -10,8 +10,9 @@ import pytest
 
 from paradiag import algebra
 from paradiag.algebra import Operator, pauli
-from paradiag.cli import main
+from paradiag.cli import _eval_bytes, main
 from paradiag.compression import assemble_controlled
+from paradiag.diagrams import CAP, CUP, Diagram, Generator
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,17 @@ def test_eval_refuses_oversized_diagram(capsys, tmp_path, monkeypatch, doc, back
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d, top, slices", [(2, 0, ()), (3, 4, ()), (2, 6, ((CUP, 2),)),
+                                           (5, 2, ((CAP, 1), (CUP, 2)))])
+def test_eval_symbolic_estimate_counts_label_grid(d, top, slices):
+    """The symbolic estimate covers the int64 label grid, its two products and the result."""
+    diag = Diagram(d, top, tuple(Generator(kind, pos) for kind, pos in slices))
+    n = diag.n_in + diag.n_out
+    grid = np.indices((d,) * n).nbytes
+    assert _eval_bytes(diag, "symbolic") >= 3 * grid + 16 * d**n
+    assert _eval_bytes(diag, "both") == _eval_bytes(diag, "dense") + _eval_bytes(diag, "symbolic")
 
 
 def test_eval_readme_example(capsys, tmp_path):
@@ -253,6 +265,16 @@ def test_mct_rejects_non_unitary_blocks(capsys, tmp_path):
     code, _, err = run_cli(capsys, "mct", "--d", "2", "--n", "1", "--blocks", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_mct_rejects_party_without_blocks(capsys, tmp_path):
+    """An empty party list is invalid input: exit 2 with one error line, no traceback."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"d": 2, "n": 1, "parties": [[]]}))
+    code, out, err = run_cli(capsys, "mct", "--d", "2", "--n", "1", "--blocks", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "party 1 has no blocks" in err
 
 
 @pytest.mark.parametrize("source", ["random", "blocks"])

@@ -28,7 +28,7 @@ from paradiag.diagrams import (
     parse_diagram,
     random_diagram,
 )
-from paradiag.diagrams.builtins import basis_ket, matrix_unit
+from paradiag.diagrams.builtins import _bra_slices, _ket_slices, basis_ket, matrix_unit
 from paradiag.diagrams.ir import diagram_to_json
 from paradiag.scalars import PhaseExponent, equal_up_to_global_phase
 
@@ -298,17 +298,103 @@ def test_backends_agree_entrywise(d, seed):
     assert np.max(np.abs(evaluate_dense(diag).array - evaluate_symbolic(diag).array)) <= 1e-9
 
 
-def test_symbolic_reduces_each_diagram_once(monkeypatch):
-    """All entries and braid terms come from one reduction of one template."""
+def _clear_shape_caches():
+    from paradiag.diagrams import dense, symbolic
+
+    for cache in (symbolic._compile, symbolic._label_forms, dense._turn_excess):
+        cache.cache_clear()
+
+
+def test_symbolic_reduces_each_shape_once(monkeypatch):
+    """Diagrams that differ only in charges share one reduction of one template."""
     from paradiag.diagrams import symbolic
 
+    _clear_shape_caches()
     calls = []
     reduce_closed = symbolic._reduce_closed
     monkeypatch.setattr(symbolic, "_reduce_closed", lambda closed: calls.append(1) or reduce_closed(closed))
-    diag = Diagram(3, 4, (Generator(BRAID_POS, 2), Generator(CHARGE, 1, k=2), Generator(BRAID_NEG, 1)))
-    value = evaluate_symbolic(diag).array
+    d = 3
+
+    def diag(k, items):
+        return Diagram(d, 4, (Generator(BRAID_POS, 2), Generator(CHARGE, 1, k=k),
+                              Generator(MULTICHARGE, items=items), Generator(BRAID_NEG, 1)))
+
+    # a negative charge, then a charge of d*d or more; a multicharge in both
+    for each in (diag(-2, ((1, 4), (3, -1))), diag(d * d + 2, ((1, -5), (3, 2 * d * d + 1)))):
+        value = evaluate_symbolic(each).array
+        assert np.max(np.abs(value - evaluate_dense(each).array)) <= 1e-9
     assert len(calls) == 1
-    assert np.max(np.abs(value - evaluate_dense(diag).array)) < 1e-9
+
+
+# Pairs of diagrams whose charge-free shapes differ in one feature only.
+SHAPE_TWINS = {
+    "multicharge positions": (
+        Diagram(3, 4, (Generator(MULTICHARGE, items=((1, 1), (2, 2))), Generator(CHARGE, 3, k=1))),
+        Diagram(3, 4, (Generator(MULTICHARGE, items=((1, 1), (3, 2))), Generator(CHARGE, 3, k=1))),
+    ),
+    "braid handedness": (
+        Diagram(3, 4, (Generator(CHARGE, 2, k=1), Generator(BRAID_POS, 2), Generator(CHARGE, 3, k=2))),
+        Diagram(3, 4, (Generator(CHARGE, 2, k=1), Generator(BRAID_NEG, 2), Generator(CHARGE, 3, k=2))),
+    ),
+    "cap position": (
+        Diagram(3, 2, (Generator(CAP, 1), Generator(CHARGE, 3, k=1), Generator(CHARGE, 2, k=2))),
+        Diagram(3, 2, (Generator(CAP, 2), Generator(CHARGE, 3, k=1), Generator(CHARGE, 2, k=2))),
+    ),
+    "cup position": (
+        Diagram(3, 4, (Generator(CHARGE, 2, k=1), Generator(CHARGE, 3, k=1), Generator(CUP, 1))),
+        Diagram(3, 4, (Generator(CHARGE, 2, k=1), Generator(CHARGE, 3, k=1), Generator(CUP, 2))),
+    ),
+    "top": (
+        Diagram(3, 2, (Generator(CHARGE, 1, k=1),)),
+        Diagram(3, 4, (Generator(CHARGE, 1, k=1),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("first, second", SHAPE_TWINS.values(), ids=SHAPE_TWINS)
+def test_shape_twins_do_not_share_a_compiled_form(first, second):
+    """Back-to-back twins each get their own compiled shape in both evaluators."""
+    _clear_shape_caches()
+    values = []
+    for each in (first, second, first):
+        dense = evaluate_dense(each).array
+        assert np.max(np.abs(evaluate_symbolic(each).array - dense)) <= 1e-9
+        values.append(dense)
+    assert values[0].shape != values[1].shape or np.max(np.abs(values[0] - values[1])) > 1e-3
+
+
+def _recharged(diag, rng):
+    """The same shape with every charge redrawn from [-d*d, 2*d*d)."""
+    dd = diag.d * diag.d
+
+    def draw():
+        return int(rng.integers(-dd, 2 * dd))
+
+    slices = []
+    for s in diag.slices:
+        if s.kind == CHARGE:
+            s = Generator(CHARGE, s.pos, k=draw())
+        elif s.kind == MULTICHARGE:
+            s = Generator(MULTICHARGE, items=tuple((p, draw()) for p, _ in s.items))
+        slices.append(s)
+    return Diagram(diag.d, diag.top, tuple(slices), diag.scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), max_braids=st.integers(0, 2))
+def test_recharged_shape_agrees_entrywise(d, seed, max_braids):
+    """Redrawn charges on a drawn shape keep dense = symbolic, and closed_value with them."""
+    rng = np.random.default_rng(seed)
+    diag = random_diagram(d, rng, max_braids=max_braids)
+    for each in (diag, _recharged(diag, rng)):
+        assert np.max(np.abs(evaluate_dense(each).array - evaluate_symbolic(each).array)) <= 1e-9
+        if not each.has_braids():  # close the boundaries over drawn basis labels
+            ket, bra = rng.integers(0, d, each.n_in), rng.integers(0, d, each.n_out)
+            closed = Diagram(d, 0, tuple(_ket_slices(each.n_in, ket)) + each.slices
+                             + tuple(_bra_slices(each.n_out, bra)))
+            scalar = evaluate_symbolic(closed).scalar()
+            assert abs(closed_value(closed).to_complex() - scalar) <= 1e-9
+            assert abs(evaluate_dense(closed).scalar() - scalar) <= 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -35,7 +35,6 @@ __all__ = [
     "prepare_max",
     "embed_operator",
     "apply_to_qudits",
-    "permute_qudits",
     "partial_trace",
     "basis_state",
     "random_unitary",
@@ -236,15 +235,6 @@ def embed_operator(op: Operator, qudits: Sequence[int], n: int) -> Operator:
     tensor = full.reshape([d] * (2 * n))
     tensor = tensor.transpose(inv + [n + i for i in inv])
     return Operator(d, n, tensor.reshape(d**n, d**n))
-
-
-def permute_qudits(state: StateVector, perm: Sequence[int]) -> StateVector:
-    """Reorder qudits: new position i holds old qudit perm[i] (1-based)."""
-    d, n = state.d, state.n
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ShapeError(f"{perm!r} is not a permutation of 1..{n}")
-    psi = state.amps.reshape([d] * n).transpose([p - 1 for p in perm])
-    return StateVector(d, n, psi.reshape(-1))
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> np.ndarray:

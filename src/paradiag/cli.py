@@ -20,6 +20,7 @@ from . import algebra
 from .algebra import Operator, StateVector, random_unitary
 from .compression import (
     NotBlockDiagonal,
+    NotXCompressed,
     compression_verdict,
     controlled_blocks,
     x_components,
@@ -178,19 +179,21 @@ def cmd_compress(args: argparse.Namespace) -> int:
         "verdict": verdict,
     }
     if verdict == "compressed" and op.n >= 2:
+        # the verdict is relative to max|T|, so the decomposition's check is too
+        tol = Tolerance(max(args.tol, 1e-9) * max(1.0, float(np.max(np.abs(op.mat)))))
         try:
             if args.axis == "Z":
-                dec = controlled_blocks(op, args.j, Tolerance(max(args.tol, 1e-9)))
+                dec = controlled_blocks(op, args.j, tol)
                 report["blocks"] = [json.loads(algebra.operator_to_json(b)) for b in dec.blocks]
             elif args.axis == "X":
-                dec = x_components(op, args.j, Tolerance(max(args.tol, 1e-9)))
+                dec = x_components(op, args.j, tol)
                 report["components"] = [json.loads(algebra.operator_to_json(b)) for b in dec.components]
             else:  # Y: transport to the X form first
-                dec = x_components(y_to_x_transport(op, args.j), args.j, Tolerance(max(args.tol, 1e-9)))
+                dec = x_components(y_to_x_transport(op, args.j), args.j, tol)
                 report["components_of_transport"] = [
                     json.loads(algebra.operator_to_json(b)) for b in dec.components
                 ]
-        except NotBlockDiagonal as exc:
+        except (NotBlockDiagonal, NotXCompressed) as exc:
             report["verdict"] = "indeterminate"
             report["note"] = str(exc)
             verdict = "indeterminate"
@@ -207,8 +210,13 @@ def _load_blocks(path: str) -> tuple[int, int, list[list[Operator]], StateVector
     with open(path) as fh:
         doc = json.load(fh)
     d, n = int(doc["d"]), int(doc["n"])
+    blists = doc["parties"]
+    if not isinstance(blists, list) or not all(
+        isinstance(blist, list) and all(isinstance(b, dict) for b in blist) for blist in blists
+    ):
+        raise ValueError(f"{path}: parties must be a list of lists of operator objects")
     parties = []
-    for j, blist in enumerate(doc["parties"], start=1):
+    for j, blist in enumerate(blists, start=1):
         if not blist:
             raise ValueError(f"{path}: party {j} has no blocks")
         parties.append([algebra.operator_from_json(json.dumps(b)) for b in blist])

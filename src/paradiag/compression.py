@@ -2,8 +2,12 @@
 
 A transformation is Z-compressed on qudit j when it commutes with Pauli Z
 there; equivalently it is a controlled transformation with control j, i.e.
-block diagonal after moving j to the front.  X- and Y-compression are the
-conjugated notions (FXF^-1 = Z, GXG^-1 = Y^-1 move between the three).
+block diagonal in qudit j.  X- and Y-compression are the conjugated
+notions (FXF^-1 = Z, GXG^-1 = Y^-1 move between the three).
+
+Controlled and X forms are read and written through the block view of T at
+j: its matrix reshaped to (d^(j-1), d, d^(n-j)) row axes and the same column
+axes, so that no qudit is moved.
 
 Floating point blurs the exact commutant condition, so the commutator norm
 is graded relative to the largest entry of T: at most COMPRESS_PASS * max|T|
@@ -87,27 +91,29 @@ def compression_verdict(op: Operator, j: int, axis: str) -> str:
     return "indeterminate"
 
 
-def _to_front(op: Operator, j: int) -> np.ndarray:
-    """Matrix of T with qudit j permuted to the front of the register."""
-    d, n = op.d, op.n
-    axes = [j - 1] + [i for i in range(n) if i != j - 1]
-    t = op.mat.reshape([d] * (2 * n)).transpose(axes + [n + a for a in axes])
-    return t.reshape(d**n, d**n)
+def _block_view(mat: np.ndarray, d: int, j: int, n: int) -> np.ndarray:
+    """View of an n-qudit matrix as (before, j, after, before, j, after) axes.
+
+    Entry [:, r, :, :, c, :] is the block of T between |r> and |c> on qudit j,
+    with rows and columns over the other qudits in register order.
+    """
+    rest = (d ** (j - 1), d, d ** (n - j))
+    return mat.reshape(rest + rest)
 
 
 def controlled_blocks(op: Operator, j: int, tol: Tolerance = Tolerance()) -> ControlledDecomposition:
-    """Read the controlled blocks T(l) off the diagonal of the front-permuted matrix."""
+    """Read the controlled blocks T(l) off the block view of T at qudit j."""
     d, n = op.d, op.n
     if j < 1 or j > n:
         raise ShapeError(f"qudit index {j} out of range for n={n}")
     if n < 2:
         raise ShapeError("controlled decomposition needs at least 2 qudits")
-    front = _to_front(op, j)
+    view = _block_view(op.mat, d, j, n)
     size = d ** (n - 1)
     blocks = []
     for row in range(d):
         for col in range(d):
-            blk = front[row * size : (row + 1) * size, col * size : (col + 1) * size]
+            blk = view[:, row, :, :, col, :].reshape(size, size)
             if row == col:
                 blocks.append(Operator(d, n - 1, blk))
             elif np.max(np.abs(blk)) > tol.eps:
@@ -127,15 +133,12 @@ def assemble_controlled(blocks: list[Operator] | tuple[Operator, ...], j: int, n
         raise ShapeError(f"need exactly d={d} blocks, got {len(blocks)}")
     if any(b.n != n - 1 or b.d != d for b in blocks):
         raise ShapeError(f"every block must be a {n - 1}-qudit operator of dimension {d}")
-    size = d ** (n - 1)
-    front = np.zeros((d**n, d**n), dtype=complex)
+    mat = np.zeros((d**n, d**n), dtype=complex)
+    view = _block_view(mat, d, j, n)
+    shape = view[:, 0, :, :, 0, :].shape
     for l, blk in enumerate(blocks):
-        front[l * size : (l + 1) * size, l * size : (l + 1) * size] = blk.mat
-    # undo the j-to-front permutation
-    axes = [j - 1] + [i for i in range(n) if i != j - 1]
-    inv = list(np.argsort(axes))
-    t = front.reshape([d] * (2 * n)).transpose(inv + [n + a for a in inv])
-    return Operator(d, n, t.reshape(d**n, d**n))
+        view[:, l, :, :, l, :] = blk.mat.reshape(shape)
+    return Operator(d, n, mat)
 
 
 def x_components(op: Operator, j: int, tol: Tolerance = Tolerance()) -> XDecomposition:
@@ -161,18 +164,22 @@ def x_components(op: Operator, j: int, tol: Tolerance = Tolerance()) -> XDecompo
 
 
 def assemble_x_form(components: list[Operator] | tuple[Operator, ...], j: int, n: int) -> Operator:
-    """Build sum_l X^l_j (x) components[l]."""
+    """Build sum_l X^l_j (x) components[l].
+
+    X^l maps |c> to |c + l>, so components[l] fills block ((c + l) % d, c)
+    of the block view at qudit j for every c.
+    """
     components = tuple(components)
     d = components[0].d
     if len(components) != d:
         raise ShapeError(f"need exactly d={d} components, got {len(components)}")
-    x = pauli(d, "X")
-    total = np.zeros((d**n, d**n), dtype=complex)
+    mat = np.zeros((d**n, d**n), dtype=complex)
+    view = _block_view(mat, d, j, n)
+    shape = view[:, 0, :, :, 0, :].shape
     for l, comp in enumerate(components):
-        xl = Operator(d, 1, np.linalg.matrix_power(x.mat, l))
-        term = embed_operator(xl, [j], n).mat @ embed_operator(comp, [q for q in range(1, n + 1) if q != j], n).mat
-        total += term
-    return Operator(d, n, total)
+        for c in range(d):
+            view[:, (c + l) % d, :, :, c, :] = comp.mat.reshape(shape)
+    return Operator(d, n, mat)
 
 
 def y_to_x_transport(op: Operator, j: int) -> Operator:

@@ -82,7 +82,7 @@ class Generator:
 
 @dataclass(frozen=True)
 class DiagramScale:
-    """Exact prefactor zeta**a * d**(b/2) * d**(q4/4), or zero."""
+    """Exact prefactor zeta**a * d**(b/2) * d**(q4/4)."""
 
     phase: PhaseExponent
     quarter: int = 0
@@ -90,10 +90,6 @@ class DiagramScale:
     @classmethod
     def one(cls, d: int) -> "DiagramScale":
         return cls(PhaseExponent.one(d))
-
-    @classmethod
-    def zero(cls, d: int) -> "DiagramScale":
-        return cls(PhaseExponent.zero(d))
 
     @classmethod
     def of(cls, d: int, zeta_exp: int = 0, sqrtd_exp: int = 0, quarter: int = 0) -> "DiagramScale":
@@ -331,8 +327,6 @@ class StrandTrace:
     cap_legs: dict[int, tuple[int, int]]  # slice index -> (left col, right col)
     cup_legs: dict[int, tuple[int, int]]
     charge_cols: dict[int, int]  # slice index -> column (single-charge slices)
-    multi_cols: dict[int, tuple[int, ...]]  # slice index -> columns per item
-    braid_cols: dict[int, tuple[int, int]]
 
 
 def trace_strands(diag: Diagram) -> StrandTrace:
@@ -342,8 +336,6 @@ def trace_strands(diag: Diagram) -> StrandTrace:
     cap_legs: dict[int, tuple[int, int]] = {}
     cup_legs: dict[int, tuple[int, int]] = {}
     charge_cols: dict[int, int] = {}
-    multi_cols: dict[int, tuple[int, ...]] = {}
-    braid_cols: dict[int, tuple[int, int]] = {}
 
     def key_between(p: int) -> tuple[Fraction, Fraction]:
         lo = key[frontier[p - 2]] if p >= 2 else key[frontier[0]] - 2 if frontier else Fraction(-2)
@@ -367,10 +359,6 @@ def trace_strands(diag: Diagram) -> StrandTrace:
             cup_legs[i] = (a, b)
         elif s.kind == CHARGE:
             charge_cols[i] = frontier[s.pos - 1]
-        elif s.kind == MULTICHARGE:
-            multi_cols[i] = tuple(frontier[p - 1] for p, _ in s.items)
-        elif s.kind in (BRAID_POS, BRAID_NEG):
-            braid_cols[i] = (frontier[s.pos - 1], frontier[s.pos])
     return StrandTrace(
         top_cols=list(range(diag.top)),
         bottom_cols=list(frontier),
@@ -378,8 +366,6 @@ def trace_strands(diag: Diagram) -> StrandTrace:
         cap_legs=cap_legs,
         cup_legs=cup_legs,
         charge_cols=charge_cols,
-        multi_cols=multi_cols,
-        braid_cols=braid_cols,
     )
 
 

@@ -1,23 +1,23 @@
 """LOCC simulator for multipartite compressed teleportation.
 
-Register layout (1-based, matching the circuit wire order): for each party j
-its data qudits come first, then its single resource qudit; the leader's
-resource qudit and data qudit close the register:
+Register layout (1-based, matching the circuit wire order): the n+1
+resource qudits come first, one per party and the leader's last, then the
+data qudits in input order:
 
-    [P1.data.., P1.res, P2.data.., P2.res, ..., Pn.res, L.res, L.data]
+    [P1.res, ..., Pn.res, L.res, P1.data.., ..., Pn.data.., L.data]
 
-The resource state spans the n+1 resource qudits.  Outputs are re-indexed to
-data qudits only, ordered [P1.data.., ..., Pn.data.., L.data], which is also
-the qudit order of the input state and of ``target_unitary``.
+The data qudits [P1.data.., ..., Pn.data.., L.data] keep the qudit order of
+the input state and of ``target_unitary``, so the register starts as the
+outer product of the resource state and the input.
 
 Each variant is one list of (matrix, qudits) steps run in a single pass.
 By the deferred-measurement principle every classically controlled
 correction is a controlled gate from the qudit that would have been
 measured, so all meters move to the end: the final state, read with the
-resource qudits [L.res, P1.res, ..., Pn.res] as row index and the data
-qudits as column index, holds branch (l0, l1, ..., ln) in its rows.  Row
-norms squared are the branch probabilities and normalized rows are the
-branch outputs.
+resource qudits as row index and the data qudits as column index, holds
+branch (l1, ..., ln, l0) in its rows.  The rows are read out in
+lexicographic (l0, l1, ..., ln) order; row norms squared are the branch
+probabilities and normalized rows are the branch outputs.
 
 Controlled variant (GHZ resource): the leader applies F^-1 on its resource
 qudit, a controlled-Z against its data qudit and F^-1 again; l0 is its
@@ -58,7 +58,6 @@ from .algebra import (
     ghz_state,
     partial_trace,
     pauli,
-    permute_qudits,
     prepare_max,
 )
 from .compression import NotXCompressed, assemble_controlled, is_compressed
@@ -81,7 +80,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Network:
-    """Ownership map for one leader and n parties."""
+    """Ownership map for one leader and n parties.
+
+    Positions are 1-based in the register [resource qudits, data qudits]:
+    party j's resource qudit is j, the leader's is n+1, the data qudits
+    follow in input order and the leader's data qudit is last.
+    """
 
     d: int
     n: int
@@ -100,25 +104,19 @@ class Network:
         return sum(self.party_data) + 1
 
     def party_data_positions(self, j: int) -> list[int]:
-        base = sum(self.party_data[: j - 1]) + (j - 1)
+        base = self.n + 1 + sum(self.party_data[: j - 1])
         return [base + i + 1 for i in range(self.party_data[j - 1])]
 
     def party_resource_position(self, j: int) -> int:
-        return sum(self.party_data[:j]) + j
+        return j
 
     @property
     def leader_resource_position(self) -> int:
-        return sum(self.party_data) + self.n + 1
+        return self.n + 1
 
     @property
     def leader_data_position(self) -> int:
         return self.total_qudits
-
-    @property
-    def resource_positions(self) -> list[int]:
-        return [self.party_resource_position(j) for j in range(1, self.n + 1)] + [
-            self.leader_resource_position
-        ]
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,6 @@ class ProtocolRun:
     branches: tuple[BranchResult, ...]
     cost: CostReport
     passed: bool
-    seed: int | None = None
 
     def report(self) -> dict:
         return {
@@ -187,17 +184,16 @@ def measure_qudit(
     elif basis != "computational":
         raise ValueError(f"unknown basis {basis!r}")
     d, n = state.d, state.n
-    psi = np.moveaxis(state.amps.reshape([d] * n), qudit - 1, 0)
+    psi = state.amps.reshape(d ** (qudit - 1), d, -1)  # (before, measured, after)
     results = []
     for m in range(d):
-        branch = psi[m]
+        branch = psi[:, m]
         p = float(np.sum(np.abs(branch) ** 2))
         if p <= 1e-15:
             continue
         collapsed = np.zeros_like(psi)
-        collapsed[m] = branch / np.sqrt(p)
-        post = np.moveaxis(collapsed, 0, qudit - 1).reshape(-1)
-        results.append((m, p, StateVector(d, n, post)))
+        collapsed[:, m] = branch / np.sqrt(p)
+        results.append((m, p, StateVector(d, n, collapsed.reshape(-1))))
     return results
 
 
@@ -256,14 +252,6 @@ def target_unitary_xcompressed(d: int, n: int, parties: Sequence[Operator]) -> O
     return Operator(d, m_total, total)
 
 
-def _initial_state(net: Network, input_state: StateVector, resource: StateVector) -> StateVector:
-    """input (data order) (x) resource (res order), permuted into the layout."""
-    res = net.resource_positions
-    data = [p for p in range(1, net.total_qudits + 1) if p not in res]
-    perm = np.argsort(data + res) + 1
-    return permute_qudits(input_state.tensor(resource), [int(p) for p in perm])
-
-
 def _controlled_z(d: int) -> np.ndarray:
     """sum_m |m><m| (x) Z^m = diag(q**(m*k)); control and target are symmetric."""
     k = np.arange(d)
@@ -320,13 +308,13 @@ def _xcompressed_steps(net: Network, gates: Sequence[np.ndarray]) -> list[_Step]
 def _outcome_rows(
     net: Network, input_state: StateVector, resource: StateVector, steps: Sequence[_Step]
 ) -> np.ndarray:
-    """Run the steps; rows are indexed by (l0, l1, ..., ln), columns by the data qudits."""
-    state = _initial_state(net, input_state, resource)
+    """Run the steps; rows are indexed by (l1, ..., ln, l0), columns by the data qudits."""
+    # the input-first product keeps every amplitude bitwise equal to kron(input, resource)
+    amps = np.multiply.outer(input_state.amps, resource.amps).T.reshape(-1)
+    state = StateVector(net.d, net.total_qudits, amps)
     for mat, qudits in steps:
         state = apply_to_qudits(mat, state, qudits)
-    meters = [net.leader_resource_position, *net.resource_positions[:-1]]
-    data = [p for p in range(1, net.total_qudits + 1) if p not in meters]
-    return permute_qudits(state, meters + data).amps.reshape(net.d ** (net.n + 1), -1)
+    return state.amps.reshape(net.d ** (net.n + 1), -1)
 
 
 def _expected_state(
@@ -374,7 +362,9 @@ def _run(
     joint distribution.
     """
     rows = _outcome_rows(net, input_state, resource, steps)
-    probs = np.sum(np.abs(rows) ** 2, axis=1)
+    # order[i] is the row of the i-th outcome tuple (l0, l1, ..., ln)
+    order = np.arange(net.d ** (net.n + 1)).reshape(-1, net.d).T.reshape(-1)
+    probs = np.sum(np.abs(rows) ** 2, axis=1)[order]
     if mode == "all_branches":
         picks = np.flatnonzero(probs > 1e-15)
     elif mode == "sample":
@@ -383,7 +373,7 @@ def _run(
         raise ValueError(f"unknown mode {mode!r}")
     expected = _expected_state(net, gates, input_state).amps
     outcomes = list(itertools.product(range(net.d), repeat=net.n + 1))
-    outputs = rows[picks] / np.sqrt(probs[picks])[:, None]
+    outputs = rows[order[picks]] / np.sqrt(probs[picks])[:, None]
     devs = global_phase_deviation(outputs, expected).tolist()
     branches = []
     for i, amps, dev in zip(picks, outputs, devs):
@@ -397,7 +387,7 @@ def _run(
             )
         )
     passed = all(b.match for b in branches)
-    return ProtocolRun(net, mode, tuple(branches), _cost_report(net), passed, seed)
+    return ProtocolRun(net, mode, tuple(branches), _cost_report(net), passed)
 
 
 def _controlled_gates(net: Network, blocks: Sequence[Sequence[Operator]]) -> list[np.ndarray]:
@@ -505,7 +495,7 @@ def leader_reduced_density(
     # party meters dephase the resource qudits in the computational basis;
     # the leader-data reduced state is unchanged by that, so tracing the
     # whole l0 block out is exactly the outcome-averaged state
-    block = rows[l0 * d**n : (l0 + 1) * d**n].reshape(-1)
+    block = rows.reshape(d**n, d, -1)[:, l0].reshape(-1)
     p = float(np.vdot(block, block).real)
     if p <= 1e-15:
         raise ValueError(f"branch l0={l0} has zero probability")

@@ -23,7 +23,6 @@ from paradiag.algebra import (
     operator_to_json,
     partial_trace,
     pauli,
-    permute_qudits,
     prepare_max,
     random_unitary,
     state_from_json,
@@ -140,9 +139,6 @@ def test_apply_to_qudits_matches_embedding():
 
 
 def test_permute_and_partial_trace():
-    state = basis_state(2, [0, 1, 1])
-    swapped = permute_qudits(state, [2, 1, 3])
-    assert np.allclose(swapped.amps, basis_state(2, [1, 0, 1]).amps)
     rho = partial_trace(ghz_state(2, 2), [1])
     assert np.allclose(rho, np.eye(2) / 2)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from paradiag import algebra
-from paradiag.algebra import Operator, pauli
+from paradiag.algebra import Operator, embed_operator, fourier, gauss, pauli, random_unitary
 from paradiag.cli import _eval_bytes, main
 from paradiag.compression import assemble_controlled
 from paradiag.diagrams import CAP, CUP, Diagram, Generator
@@ -131,6 +131,18 @@ def test_eval_readme_example(capsys, tmp_path):
     assert json.loads(out)["pass"] is True
 
 
+def test_readme_library_examples():
+    """The python blocks of README "Library use" run in order, in one namespace."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("## Library use") : text.index("## Command line")]
+    blocks = section.split("```python\n")[1:]
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(block[: block.index("```")], namespace)
+    assert namespace["run"].passed
+
+
 def test_eval_missing_file(capsys):
     code, _, err = run_cli(capsys, "eval", "/nonexistent/diagram.json")
     assert code == 2
@@ -166,6 +178,25 @@ def test_compress_near_threshold_indeterminate(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "compress", str(path), "--j", "1", "--axis", "Z")
     assert code == 3
     assert json.loads(out)["verdict"] == "indeterminate"
+
+
+@pytest.mark.parametrize("axis, key", [("X", "components"), ("Y", "components_of_transport")])
+def test_compress_decomposes_large_entries(capsys, tmp_path, axis, key):
+    """A compressed matrix scaled by 1e7 is decomposed, not refused by an absolute tolerance."""
+    rng = np.random.default_rng(1)
+    ctrl = assemble_controlled([random_unitary(3, 1, rng) for _ in range(3)], 2, 2)
+    f = embed_operator(fourier(3), [2], 2)
+    op = f.adjoint() @ ctrl @ f  # X-compressed on qudit 2
+    if axis == "Y":
+        g = embed_operator(gauss(3), [2], 2)
+        op = g @ op @ g.adjoint()
+    path = tmp_path / "large.json"
+    path.write_text(algebra.operator_to_json(Operator(3, 2, 1e7 * op.mat)))
+    code, out, _ = run_cli(capsys, "compress", str(path), "--j", "2", "--axis", axis)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "compressed"
+    assert len(report[key]) == 3
 
 
 def test_compress_bad_index(capsys, tmp_path):
@@ -275,6 +306,17 @@ def test_mct_rejects_party_without_blocks(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "party 1 has no blocks" in err
+
+
+@pytest.mark.parametrize("parties", [5, [5], [[5]]])
+def test_mct_rejects_malformed_parties(capsys, tmp_path, parties):
+    """parties must be a list of lists of operators: exit 2 with one error line, no traceback."""
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"d": 2, "n": 1, "parties": parties}))
+    code, out, err = run_cli(capsys, "mct", "--d", "2", "--n", "1", "--blocks", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("source", ["random", "blocks"])

@@ -8,10 +8,12 @@ import pytest
 from paradiag.algebra import (
     Operator,
     StateVector,
+    apply_to_qudits,
     basis_state,
     embed_operator,
     fourier,
     ghz_state,
+    max_state,
     pauli,
     random_unitary,
 )
@@ -19,7 +21,9 @@ from paradiag.compression import NotXCompressed, assemble_controlled
 from paradiag.protocol import (
     Network,
     _controlled_gates,
+    _controlled_steps,
     _expected_state,
+    _run,
     leader_reduced_density,
     measure_qudit,
     run_mct_controlled,
@@ -28,7 +32,7 @@ from paradiag.protocol import (
     target_unitary_xcompressed,
     trick_identity_deviation,
 )
-from paradiag.scalars import equal_up_to_global_phase
+from paradiag.scalars import Tolerance, equal_up_to_global_phase
 
 
 def _random_state(d, n, rng):
@@ -51,12 +55,17 @@ def _x_compressed_gate(d, m, rng):
 def test_network_layout():
     net = Network(2, 2, (1, 1))
     assert net.total_qudits == 6
-    assert net.party_data_positions(1) == [1]
-    assert net.party_resource_position(1) == 2
-    assert net.party_data_positions(2) == [3]
-    assert net.party_resource_position(2) == 4
-    assert net.leader_resource_position == 5
+    assert net.party_resource_position(1) == 1
+    assert net.party_resource_position(2) == 2
+    assert net.leader_resource_position == 3
+    assert net.party_data_positions(1) == [4]
+    assert net.party_data_positions(2) == [5]
     assert net.leader_data_position == 6
+    net = Network(2, 2, (2, 1))
+    assert net.total_qudits == 7
+    assert net.party_data_positions(1) == [4, 5]
+    assert net.party_data_positions(2) == [6]
+    assert net.leader_data_position == 7
 
 
 def test_measure_qudit_plus_state():
@@ -292,3 +301,101 @@ def test_no_signaling_leader_reduced_state():
         rho_a = leader_reduced_density(d, n, blocks_a, inp, l0)
         rho_b = leader_reduced_density(d, n, blocks_b, inp, l0)
         assert np.max(np.abs(rho_a - rho_b)) < 1e-9
+
+
+def _reference_branches(d, sizes, gates, variant, inp, corrections=True):
+    """Every branch built on its own, measuring each meter when the protocol does.
+
+    Each classically controlled correction is ``measure_qudit`` on its
+    control, then the corrective gate raised to the measured power.  The
+    register is [L.res, P1.res, ..., Pn.res, data qudits in input order], so
+    after the last meter branch (l0, l1, ..., ln) is the row l0 l1 ... ln of
+    the state read with the resource qudits as row index.
+    """
+    n = len(sizes)
+    lres, ldata = 1, n + 1 + sum(sizes) + 1
+    starts = np.cumsum((n + 2,) + sizes[:-1])
+    data = [list(range(s, s + m)) for s, m in zip(starts, sizes)]
+    x, z, f_inv = pauli(d, "X").mat, pauli(d, "Z").mat, fourier(d).adjoint().mat
+    power = np.linalg.matrix_power
+    cx = sum(np.kron(np.diag(np.eye(d)[m]), power(x, m)) for m in range(d))
+    cz = sum(np.kron(np.diag(np.eye(d)[m]), power(z, m)) for m in range(d))
+
+    def apply(state, mat, *qudits):
+        return apply_to_qudits(mat, state, qudits)
+
+    def parties(state, j, outcomes, prob):
+        if j > n:
+            row = np.ravel_multi_index(outcomes, [d] * (n + 1))
+            yield outcomes, prob, state.amps.reshape(d ** (n + 1), -1)[row]
+            return
+        state = apply(state, gates[j - 1], *data[j - 1], 1 + j)
+        if variant == "controlled":
+            state = apply(state, f_inv, 1 + j)
+        for m, p, post in measure_qudit(state, 1 + j):
+            if corrections:
+                post = apply(post, power(z if variant == "controlled" else x, m), ldata)
+            yield from parties(post, j + 1, outcomes + (m,), prob * p)
+
+    resource = ghz_state(d, n + 1) if variant == "controlled" else max_state(d, n + 1)
+    state = StateVector(d, ldata, np.kron(resource.amps, inp.amps))
+    if variant == "controlled":
+        state = apply(apply(apply(state, f_inv, lres), cz, lres, ldata), f_inv, lres)
+    else:
+        state = apply(apply(apply(state, cx, lres, ldata), f_inv, lres), cx.conj().T, lres, ldata)
+    for l0, p0, post in measure_qudit(state, lres):
+        if variant == "controlled":
+            for j in range(1, n + 1):
+                post = apply(post, power(x, l0), 1 + j)
+        else:
+            post = apply(post, power(x, l0), ldata)
+            for j in range(1, n + 1):
+                post = apply(post, power(z, -l0 % d), 1 + j)
+        yield from parties(post, 1, (l0,), p0)
+
+
+def _assert_branches_equal(branches, reference):
+    assert [b.outcomes for b in branches] == [outcomes for outcomes, _, _ in reference]
+    for branch, (_, prob, output) in zip(branches, reference):
+        assert branch.probability == pytest.approx(prob, abs=1e-12)
+        assert np.max(np.abs(branch.output.amps - output)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,sizes", [(2, (1, 1)), (3, (1, 1)), (3, (2, 1))])
+@pytest.mark.parametrize("variant", ["controlled", "xcompressed"])
+def test_outcome_labels_match_independent_branches(d, sizes, variant):
+    """Each reported outcome tuple carries that branch's own output, phase included.
+
+    With all corrections applied every branch ends in the same state, so the
+    controlled pass is also read without the party corrections: there branch
+    (l0, l1, ..., ln) still carries Z^(l1 + ... + ln) on L.data, and a wrong
+    row-to-outcome map shows.
+    """
+    rng = np.random.default_rng(d * 100 + sum(sizes))
+    n = len(sizes)
+    inp = _random_state(d, sum(sizes) + 1, rng)
+    if variant == "xcompressed":
+        parties = [_x_compressed_gate(d, m, rng) for m in sizes]
+        gates = [op.mat for op in parties]
+        run = run_mct_xcompressed(d, n, parties, inp)
+        _assert_branches_equal(run.branches, list(_reference_branches(d, sizes, gates, variant, inp)))
+        return
+    blocks = [[random_unitary(d, m, rng) for _ in range(d)] for m in sizes]
+    projectors = [np.diag(np.eye(d)[l]) for l in range(d)]
+    gates = [sum(np.kron(b.mat, pr) for b, pr in zip(blist, projectors)) for blist in blocks]
+    run = run_mct_controlled(d, n, blocks, inp)
+    _assert_branches_equal(run.branches, list(_reference_branches(d, sizes, gates, variant, inp)))
+
+    uncorrected = list(_reference_branches(d, sizes, gates, variant, inp, corrections=False))
+    net = Network(d, n, sizes)
+    steps = _controlled_steps(net, _controlled_gates(net, blocks), corrections=False)
+    raw = _run(net, ghz_state(d, n + 1), steps, gates, inp, "all_branches", Tolerance(), None, 0)
+    _assert_branches_equal(raw.branches, uncorrected)
+    for l0 in range(d):
+        rho = np.zeros((d, d), dtype=complex)
+        for outcomes, prob, output in uncorrected:
+            if outcomes[0] == l0:
+                leader = output.reshape(-1, d)  # rows: party data, columns: L.data
+                rho += prob * leader.T @ leader.conj()
+        rho /= np.trace(rho).real
+        assert np.max(np.abs(leader_reduced_density(d, n, blocks, inp, l0) - rho)) <= 1e-12

@@ -23,19 +23,33 @@ per charge-free shape, since it depends on the caps and cups alone.  With that
 normalization the dense value agrees with the symbolic rewrite value
 exactly, not merely up to scale.
 
-Every slice touches one or two adjacent strings, so each is one pass over a
-free reshape of the C-contiguous tensor into (strings before, the strings
-it touches, everything after, columns included); nothing is transposed.  A
-charge rolls its string and applies its tails as one phase
-q**(-k*(m_1 + ... + m_(s-1))), looked up from an exact integer exponent.  A
-cap is one broadcast multiply and a cup one matrix product.
+Charges never touch the tensor.  A charge c_s(k) is a generalized Pauli, so
+the evaluator carries a pending frame beside the tensor: zeta**e times
+X**a_i Z**b_i on each string i, with the true value the frame applied to
+the stored tensor.  A charge updates the frame with integers alone: its
+tail Z**-k passes each X**a_i before s at the cost q**(-k*a_i)
+(Z X = q X Z), so e -= 2*k*a_i and b_i -= k, and then a_s += k.  A
+multicharge applies its items from the right and adds its twist to e, and
+zeta**e joins the final scale, so charge phases stay exact integers until
+that one multiply.
+
+Every slice that does touch the tensor touches one or two adjacent
+strings, so each is one pass over a free reshape of the C-contiguous tensor
+into (strings before, the strings it touches, everything after, columns
+included); nothing is transposed.  A cap is one broadcast multiply and
+inserts two identity entries into the frame.  A cup, a braid and the
+output restriction first absorb the frame of their two strings into their
+small cached operator: right-multiplying by a Pauli pair is a column gather
+and a phase, looked up per (d, a1, b1, a2, b2).  The absorbed operator is
+then applied as one matrix product, and the two entries are reset (or, for
+a cup, removed).
 
 A braid is the charge sum sum_k c_p(k) c_(p+1)(-k) over the principal
 sqrt(omega*d), mirrored and over the conjugate for the negative braid.  The
 two charges of each term carry opposite tails on the strings before p,
 which cancel, so the braid acts on strings p, p+1 alone: a d*d x d*d gate,
-built once per d and handedness from the charge-sum definition and applied
-as one matrix product.
+built once per d and handedness by summing the two-string frames of its
+terms.
 
 The operator is finally restricted to the qudit basis, the images of the
 charged caps pairing strings (2i-1, 2i): the adjoint of the one-pair
@@ -166,65 +180,52 @@ def basis_isometry(d: int, n: int) -> np.ndarray:
     return _frozen(full * _order_phases(d, n).conj()[np.newaxis, :])
 
 
-@lru_cache(maxsize=None)
-def _tail(d: int, s: int, k: int) -> np.ndarray:
-    """q**(-k*(m_1 + ... + m_(s-1))) over the strings before s, for 0 < k < d."""
-    return _frozen(_zeta_powers(d)[(-2 * k * _digit_sums(d, s - 1)) % (d * d)])
+def _charge(a: list[int], b: list[int], s: int, k: int) -> int:
+    """Push c_s(k) onto the frame X**a_i Z**b_i; return the zeta exponent it adds."""
+    for i in range(s - 1):
+        b[i] -= k
+    a[s - 1] += k
+    return -2 * k * sum(a[: s - 1])
 
 
-def _apply_charge(tensor: np.ndarray, s: int, k: int, d: int) -> np.ndarray:
-    """c_s(k) on a tensor whose rows are strings (C-contiguous, columns last).
+@lru_cache(maxsize=1024)  # all d**4 keys up to d = 5; the relation suite uses 364
+def _pauli_pair(d: int, a1: int, b1: int, a2: int, b2: int) -> tuple[np.ndarray, np.ndarray]:
+    """X**a1 Z**b1 (x) X**a2 Z**b2 as a column gather ``idx`` and phase ``ph``.
 
-    Returns shape (strings before s, string s, the rest): the shift rolls
-    the middle axis by k, and one tail phase multiplies the first.
+    Column m1*d + m2 of the pair has its one entry, q**(b1*m1 + b2*m2), in
+    row (m1 + a1, m2 + a2) mod d, so ``mat @ pair`` is ``mat[..., idx] * ph``.
     """
-    k = k % d
-    if k == 0:
-        return tensor
-    view = tensor.reshape(d ** (s - 1), d, -1)
-    tail = _tail(d, s, k)[:, np.newaxis, np.newaxis]
-    out = np.empty_like(view)
-    np.multiply(view[:, d - k :], tail, out=out[:, :k])
-    np.multiply(view[:, : d - k], tail, out=out[:, k:])
-    return out
+    m1, m2 = np.divmod(np.arange(d * d), d)
+    idx = (m1 + a1) % d * d + (m2 + a2) % d
+    return _frozen(idx), _frozen(_zeta_powers(d)[2 * (b1 * m1 + b2 * m2) % (d * d)])
+
+
+def _absorb(mat: np.ndarray, a: list[int], b: list[int], p: int, d: int) -> np.ndarray:
+    """``mat`` times the frame of strings p, p+1, whose entries are reset to identity."""
+    key = (a[p - 1] % d, b[p - 1] % d, a[p] % d, b[p] % d)
+    a[p - 1] = b[p - 1] = a[p] = b[p] = 0
+    if not any(key):
+        return mat
+    idx, ph = _pauli_pair(d, *key)
+    return mat[..., idx] * ph
 
 
 @lru_cache(maxsize=None)
 def _braid_gate(d: int, positive: bool) -> np.ndarray:
     """The braid on strings p, p+1 as a d*d x d*d gate, from its charge sum.
 
-    Built on two strings with this module's charges; the tails each term
-    would put on strings before p cancel (see the module docstring).
+    Each term is a two-string frame; the tails it would put on strings
+    before p cancel (see the module docstring).
     """
     first, second = (1, 2) if positive else (2, 1)
     eye = np.eye(d * d, dtype=complex)
-    gate = sum(_apply_charge(_apply_charge(eye, first, k, d), second, -k, d).reshape(d * d, d * d)
-               for k in range(d))
+    gate = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        a, b = [0, 0], [0, 0]
+        e = _charge(a, b, first, k) + _charge(a, b, second, -k)
+        gate += _absorb(eye, a, b, 1, d) * _zeta_powers(d)[e % (d * d)]
     norm = 1.0 / sqrt_omega_d(d)
     return _frozen(gate * (norm if positive else np.conj(norm)))
-
-
-def _apply_braid(tensor: np.ndarray, p: int, d: int, positive: bool) -> np.ndarray:
-    return np.matmul(_braid_gate(d, positive), tensor.reshape(d ** (p - 1), d * d, -1))
-
-
-def _apply_cap(tensor: np.ndarray, p: int, d: int) -> np.ndarray:
-    return tensor.reshape(d ** (p - 1), 1, -1) * _cap_vector(d)[:, np.newaxis]
-
-
-def _apply_cup(tensor: np.ndarray, p: int, d: int) -> np.ndarray:
-    return np.matmul(_cap_vector(d).conj()[np.newaxis], tensor.reshape(d ** (p - 1), d * d, -1))
-
-
-def _apply_multicharge(tensor: np.ndarray, items, d: int) -> np.ndarray:
-    ks = [k for _, k in items]
-    twist = -sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks))) % (d * d)
-    out = tensor
-    for p, k in reversed(items):  # rightmost charge acts first
-        out = _apply_charge(out, p, k, d)
-    if twist:  # a twist off 0 mod d*d needs a charge off 0 mod d, so out is a new array
-        out *= _zeta_powers(d)[twist]
-    return out
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -242,19 +243,31 @@ def evaluate_dense(diag: Diagram) -> DiagramValue:
     d, n_in, n_out = diag.d, diag.n_in, diag.n_out
     cols = d**n_in
     tensor = basis_isometry(d, n_in) if n_in else np.ones((1, 1), dtype=complex)
+    a, b, e = [0] * diag.top, [0] * diag.top, 0  # the pending frame
     for s in diag.slices:
+        p = s.pos
         if s.kind == CHARGE:
-            tensor = _apply_charge(tensor, s.pos, s.k, d)
-        elif s.kind == CAP:
-            tensor = _apply_cap(tensor, s.pos, d)
-        elif s.kind == CUP:
-            tensor = _apply_cup(tensor, s.pos, d)
-        elif s.kind in (BRAID_POS, BRAID_NEG):
-            tensor = _apply_braid(tensor, s.pos, d, s.kind == BRAID_POS)
+            e += _charge(a, b, p, s.k % d)
         elif s.kind == MULTICHARGE:
-            tensor = _apply_multicharge(tensor, s.items, d)
+            for q, k in reversed(s.items):  # rightmost charge acts first
+                e += _charge(a, b, q, k % d)
+            ks = [k for _, k in s.items]
+            e -= sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks)))
+        elif s.kind == CAP:
+            tensor = tensor.reshape(d ** (p - 1), 1, -1) * _cap_vector(d)[:, np.newaxis]
+            a[p - 1 : p - 1] = [0, 0]
+            b[p - 1 : p - 1] = [0, 0]
+        elif s.kind == CUP:
+            row = _absorb(_cap_vector(d).conj()[np.newaxis], a, b, p, d)
+            tensor = np.matmul(row, tensor.reshape(d ** (p - 1), d * d, -1))
+            del a[p - 1 : p + 1], b[p - 1 : p + 1]
+        elif s.kind in (BRAID_POS, BRAID_NEG):
+            gate = _absorb(_braid_gate(d, s.kind == BRAID_POS), a, b, p, d)
+            tensor = np.matmul(gate, tensor.reshape(d ** (p - 1), d * d, -1))
     for i in range(n_out):  # output restriction, one string pair at a time
-        tensor = np.matmul(_pair_adjoint(d), tensor.reshape(d**i, d * d, -1))
+        adjoint = _absorb(_pair_adjoint(d), a, b, 2 * i + 1, d)
+        tensor = np.matmul(adjoint, tensor.reshape(d**i, d * d, -1))
     scale = diag.scale.to_complex() * float(d) ** (_turn_excess(_shape(diag)) / 4)
+    scale *= _zeta_powers(d)[e % (d * d)]
     mat = tensor.reshape(d**n_out, cols) * (scale * _order_phases(d, n_out))[:, np.newaxis]
     return DiagramValue(d, n_in, n_out, mat)

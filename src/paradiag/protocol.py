@@ -479,25 +479,27 @@ def leader_reduced_density(
     n: int,
     blocks: Sequence[Sequence[Operator]],
     input_state: StateVector,
-    l0: int,
     tol: Tolerance = Tolerance(),
 ) -> np.ndarray:
     """Leader-data reduced state after party measurements, before corrections.
 
-    Averaged over all party outcomes for a fixed broadcast value l0; by
-    no-signaling this cannot depend on the parties' choice of blocks.
+    Averaged over all outcomes; by no-signaling it cannot depend on the
+    parties' choice of blocks.  It does not depend on the broadcast value l0
+    either, so no l0 is taken: to the leader the GHZ resource leaves L.res
+    in the computational state m with probability 1/d, and F^-1, the
+    controlled-Z and F^-1 then project L.data onto |l0 + m>.  Given l0 the
+    average over m is the input's L.data state dephased in the
+    computational basis, the same for every l0.  The party steps touch
+    L.data not at all and L.res only as a computational-basis control, which
+    commutes with the l0 meter.
     """
     _validate_blocks(d, n, blocks, tol)
     net = Network(d, n, _party_sizes(blocks))
     _check_input(net, input_state)
     steps = _controlled_steps(net, _controlled_gates(net, blocks), corrections=False)
     rows = _outcome_rows(net, input_state, ghz_state(d, n + 1), steps)
-    # party meters dephase the resource qudits in the computational basis;
-    # the leader-data reduced state is unchanged by that, so tracing the
-    # whole l0 block out is exactly the outcome-averaged state
-    block = rows.reshape(d**n, d, -1)[:, l0].reshape(-1)
-    p = float(np.vdot(block, block).real)
-    if p <= 1e-15:
-        raise ValueError(f"branch l0={l0} has zero probability")
-    kept = n + net.data_qudits
-    return partial_trace(StateVector(d, kept, block / np.sqrt(p)), [kept])
+    # the meters dephase the resource qudits in the computational basis; the
+    # leader-data reduced state is unchanged by that, so tracing the whole
+    # register out is exactly the outcome-averaged state
+    total = net.total_qudits
+    return partial_trace(StateVector(d, total, rows.reshape(-1)), [total])

@@ -206,11 +206,25 @@ def _charge_reference(t, s, k, d):
     return out
 
 
+def _frame_on(t, a, b, e, d):
+    """The pending frame zeta**e (x)_i X**a_i Z**b_i applied to six string axes of t."""
+    from paradiag.diagrams import dense
+
+    out = t * dense._zeta_powers(d)[e % (d * d)]
+    for p in (1, 3, 5):
+        pair = dense._absorb(np.eye(d * d), a, b, p, d)
+        out = np.matmul(pair, out.reshape(d ** (p - 1), d * d, -1))
+    assert a == b == [0] * 6  # absorbing resets the frame
+    return out.reshape(t.shape)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_dense_kernel_matches_definitions(d):
     """Charges and braids on six strings agree with their full-width definitions.
 
-    The braid is the charge-pair sum over the principal sqrt(omega*d): sum_k
+    A charge only updates the pending frame; absorbed pair by pair, the frame
+    of one charge, and of a run of charges, must equal the definition.  The
+    braid is the charge-pair sum over the principal sqrt(omega*d): sum_k
     c_p(k) c_(p+1)(-k) for the positive braid, sum_k c_(p+1)(k) c_p(-k) over
     the conjugate for the negative one.
     """
@@ -219,10 +233,15 @@ def test_dense_kernel_matches_definitions(d):
     shape = [d] * 6 + [3]
     rng = np.random.default_rng(50 + d)
     t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for s in range(1, 7):
-        for k in range(-d, 2 * d):
-            got = dense._apply_charge(t, s, k, d).reshape(shape)
-            assert np.max(np.abs(got - _charge_reference(t, s, k, d))) <= 1e-12, (s, k)
+    runs = [[(s, k)] for s in range(1, 7) for k in range(-d, 2 * d)]
+    runs += [[(int(s), int(k)) for s, k in zip(rng.integers(1, 7, 4), rng.integers(-d, 2 * d, 4))]
+             for _ in range(20)]
+    for run in runs:
+        a, b, e, ref = [0] * 6, [0] * 6, 0, t
+        for s, k in run:
+            e += dense._charge(a, b, s, k % d)
+            ref = _charge_reference(ref, s, k, d)
+        assert np.max(np.abs(_frame_on(t, a, b, e, d) - ref)) <= 1e-12, run
     z = np.exp(1j * np.pi / d) if d % 2 == 0 else np.exp(2j * np.pi * ((d + 1) // 2) / d)
     sqrt_omega_d = np.sqrt(sum(z ** (j * j) for j in range(d)) * np.sqrt(d))
     for p in range(1, 6):
@@ -231,8 +250,79 @@ def test_dense_kernel_matches_definitions(d):
             ref = sum(_charge_reference(_charge_reference(t, first, k, d), second, -k, d)
                       for k in range(d))
             ref = ref / (sqrt_omega_d if positive else np.conj(sqrt_omega_d))
-            got = dense._apply_braid(t, p, d, positive).reshape(shape)
-            assert np.max(np.abs(got - ref)) <= 1e-12, (p, positive)
+            got = np.matmul(dense._braid_gate(d, positive), t.reshape(d ** (p - 1), d * d, -1))
+            assert np.max(np.abs(got.reshape(shape) - ref)) <= 1e-12, (p, positive)
+
+
+def _charges(d, positions):
+    """A charge on each position in turn, each 1 mod d: 1 - d, 1, 1 + d, ..."""
+    return tuple(Generator(CHARGE, p, k=1 + d * (i - 1)) for i, p in enumerate(positions))
+
+
+def _cap_case(d, pos):
+    """Two charged strings, a cap at ``pos``, then both cap strings charged."""
+    return Diagram(d, 2, _charges(d, (2, 1)) + (Generator(CAP, pos),) + _charges(d, (pos + 1, pos)))
+
+
+# Each case reaches an absorber with a non-identity frame on both of its
+# strings: (diagram at d, absorber kind, how many such absorbs it must see).
+ABSORB_CASES = {
+    "cup": (lambda d: Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(CUP, 2),)), "cup", 1),
+    "braid_pos": (lambda d: Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(BRAID_POS, 2),)),
+                  "braid", 1),
+    "braid_neg": (lambda d: Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(BRAID_NEG, 2),)),
+                  "braid", 1),
+    "cap_left": (lambda d: _cap_case(d, 1), "output", 2),
+    "cap_between": (lambda d: _cap_case(d, 2), "output", 2),
+    "cap_right": (lambda d: _cap_case(d, 3), "output", 2),
+    "output_pairs": (lambda d: Diagram(d, 4, _charges(d, (4, 3, 2, 1))), "output", 2),
+    "multicharge_twist": (
+        lambda d: Diagram(d, 4, (Generator(MULTICHARGE, items=((1, 1), (2, d + 1), (4, d + 1))),)), "output", 2),
+}
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("build, kind, count", ABSORB_CASES.values(), ids=ABSORB_CASES)
+def test_dense_absorb_points_agree_entrywise(monkeypatch, build, kind, count, d):
+    """Each absorber takes a charged frame on both strings; dense = symbolic entrywise."""
+    from paradiag.diagrams import dense
+
+    diag = build(d)
+    for s in diag.slices:  # the twist -sum_{i<j} k_i k_j is off 0 mod d*d
+        ks = [k for _, k in s.items]
+        assert s.kind != MULTICHARGE or sum(x * y for i, x in enumerate(ks) for y in ks[i + 1:]) % (d * d)
+    kinds = {(1, d * d): "cup", (d * d, d * d): "braid", (d, d * d): "output"}
+    seen = []
+    absorb = dense._absorb
+
+    def spy(mat, a, b, p, d):
+        if (a[p - 1] % d or b[p - 1] % d) and (a[p] % d or b[p] % d):
+            seen.append(kinds[mat.shape])
+        return absorb(mat, a, b, p, d)
+
+    evaluate_dense(diag)  # build the cached operators before spying
+    monkeypatch.setattr(dense, "_absorb", spy)
+    got = evaluate_dense(diag).array
+    assert seen.count(kind) == count
+    assert np.max(np.abs(got - evaluate_symbolic(diag).array)) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_charge_only_diagrams_leave_cached_arrays_alone(d):
+    """Charges never touch the tensor, so the cached start tensor stays as it was."""
+    from paradiag.diagrams import dense
+
+    charged = Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(MULTICHARGE, items=((1, 2), (3, 1))),))
+    cached = [dense.basis_isometry(d, 2), dense.basis_isometry(d, 1), dense.pair_isometry(d),
+              dense._pair_adjoint(d), dense._cap_vector(d), dense._zeta_powers(d),
+              dense._order_phases(d, 2), dense._braid_gate(d, True), *dense._pauli_pair(d, 1, 1, 1, 1)]
+    before = [arr.copy() for arr in cached]
+    for diag in (charged, builtin("X", d), builtin("Y", d), builtin("Z", d)):
+        evaluate_dense(diag)
+    for arr, old in zip(cached, before):
+        assert not arr.flags.writeable
+        assert np.array_equal(arr, old)
+    assert dense.basis_isometry(d, 2) is cached[0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -395,6 +485,73 @@ def test_recharged_shape_agrees_entrywise(d, seed, max_braids):
             scalar = evaluate_symbolic(closed).scalar()
             assert abs(closed_value(closed).to_complex() - scalar) <= 1e-9
             assert abs(evaluate_dense(closed).scalar() - scalar) <= 1e-9
+
+
+@st.composite
+def diagrams(draw, d, top=None, max_braids=2, max_strings=6, max_slices=8):
+    """Diagrams drawn slice by slice, bounded as ``random_diagram`` bounds them.
+
+    Kinds are listed simplest first, so a failure shrinks towards charges and
+    caps, fewer slices and lower positions.
+    """
+    if top is None:
+        top = 2 * draw(st.integers(0, max_strings // 2))
+    width, braids, slices = top, 0, []
+    charge = st.integers(-d, 2 * d - 1)
+    for _ in range(draw(st.integers(0, max_slices))):
+        kinds = [CHARGE] if width else []
+        kinds += [CAP] if width + 2 <= max_strings else []
+        kinds += [CUP, MULTICHARGE] if width >= 2 else []
+        kinds += [BRAID_POS, BRAID_NEG] if width >= 2 and braids < max_braids else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == CHARGE:
+            slices.append(Generator(CHARGE, draw(st.integers(1, width)), k=draw(charge)))
+        elif kind == CAP:
+            slices.append(Generator(CAP, draw(st.integers(1, width + 1))))
+            width += 2
+        elif kind == CUP:
+            slices.append(Generator(CUP, draw(st.integers(1, width - 1))))
+            width -= 2
+        elif kind == MULTICHARGE:
+            positions = draw(st.lists(st.integers(1, width), min_size=2, max_size=3, unique=True))
+            slices.append(Generator(MULTICHARGE, items=tuple((p, draw(charge)) for p in positions)))
+        else:
+            slices.append(Generator(kind, draw(st.integers(1, width - 1))))
+            braids += 1
+    scale = DiagramScale.of(d, zeta_exp=draw(st.integers(0, d * d - 1)), quarter=draw(st.integers(-2, 2)))
+    return Diagram(d, top, tuple(slices), scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5))
+def test_drawn_diagrams_agree_entrywise(data, d):
+    """Dense = symbolic entrywise over drawn slice orders."""
+    diag = data.draw(diagrams(d))
+    assert np.max(np.abs(evaluate_dense(diag).array - evaluate_symbolic(diag).array)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5))
+def test_drawn_mirror_is_adjoint(data, d):
+    from paradiag.diagrams import mirror
+
+    diag = data.draw(diagrams(d))
+    ref = evaluate_dense(diag).array.conj().T
+    flipped = mirror(diag)
+    assert np.max(np.abs(evaluate_dense(flipped).array - ref)) <= 1e-9
+    assert np.max(np.abs(evaluate_symbolic(flipped).array - ref)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5))
+def test_drawn_stacking_composes(data, d):
+    """Stacking two drawn diagrams, at most two braids in all, composes their values."""
+    upper = data.draw(diagrams(d, max_braids=1, max_slices=5))
+    lower = data.draw(diagrams(d, top=upper.bottom, max_braids=1, max_slices=5))
+    stacked = Diagram(d, upper.top, upper.slices + lower.slices, upper.scale * lower.scale)
+    product = evaluate_dense(lower).array @ evaluate_dense(upper).array
+    assert np.max(np.abs(evaluate_dense(stacked).array - product)) <= 1e-9
+    assert np.max(np.abs(evaluate_symbolic(stacked).array - product)) <= 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

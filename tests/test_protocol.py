@@ -174,7 +174,7 @@ def test_mct_rejects_wrong_input_size():
     with pytest.raises(ValueError):
         run_mct_controlled(2, 1, blocks, basis_state(2, [0, 0, 0]))
     with pytest.raises(ValueError, match="data qudits"):
-        leader_reduced_density(2, 1, blocks, basis_state(2, [0, 0, 0]), 0)
+        leader_reduced_density(2, 1, blocks, basis_state(2, [0, 0, 0]))
 
 
 def test_cost_report_and_transcript():
@@ -297,10 +297,9 @@ def test_no_signaling_leader_reduced_state():
     inp = _random_state(d, n + 1, rng)
     blocks_a = [[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)]
     blocks_b = [[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)]
-    for l0 in range(d):
-        rho_a = leader_reduced_density(d, n, blocks_a, inp, l0)
-        rho_b = leader_reduced_density(d, n, blocks_b, inp, l0)
-        assert np.max(np.abs(rho_a - rho_b)) < 1e-9
+    rho_a = leader_reduced_density(d, n, blocks_a, inp)
+    rho_b = leader_reduced_density(d, n, blocks_b, inp)
+    assert np.max(np.abs(rho_a - rho_b)) < 1e-9
 
 
 def _reference_branches(d, sizes, gates, variant, inp, corrections=True):
@@ -391,11 +390,12 @@ def test_outcome_labels_match_independent_branches(d, sizes, variant):
     steps = _controlled_steps(net, _controlled_gates(net, blocks), corrections=False)
     raw = _run(net, ghz_state(d, n + 1), steps, gates, inp, "all_branches", Tolerance(), None, 0)
     _assert_branches_equal(raw.branches, uncorrected)
-    for l0 in range(d):
+    returned = leader_reduced_density(d, n, blocks, inp)
+    for l0 in range(d):  # the returned state is each l0's state
         rho = np.zeros((d, d), dtype=complex)
         for outcomes, prob, output in uncorrected:
             if outcomes[0] == l0:
                 leader = output.reshape(-1, d)  # rows: party data, columns: L.data
                 rho += prob * leader.T @ leader.conj()
         rho /= np.trace(rho).real
-        assert np.max(np.abs(leader_reduced_density(d, n, blocks, inp, l0) - rho)) <= 1e-12
+        assert np.max(np.abs(returned - rho)) <= 1e-12

@@ -96,14 +96,16 @@ def _refuse_oversized(need: int, what: str, subject: str) -> bool:
 def _eval_bytes(diag: Diagram, backend: str) -> int:
     """Peak bytes an evaluation holds, estimated from the string counts alone.
 
-    Dense: the widest tensor, d**width rows by d**n_in columns, and its
-    output copy.  Symbolic, in rows of one value per entry of the
-    d**n_out x d**n_in matrix: as int64 rows, the n-row label grid and the
-    two n-row products that build its quadratic part, the cached quadratic
-    row and loop rows, two neutrality temporaries per loop and three
-    exponent temporaries; as complex rows, the phases, masked terms,
-    accumulator and result.  Loops are at most the cups of the closed
-    diagram, its own and one per output qudit.
+    Dense: an upper bound, the widest tensor, d**width rows by d**n_in
+    columns, and its output copy; caps and input pairs that never meet a
+    braid stay out of the tensor, so it is often much narrower.  Symbolic,
+    in rows of one value per entry of the d**n_out x d**n_in matrix: as
+    int64 rows, the n-row label grid and the two n-row products that build
+    its quadratic part, the cached quadratic row and loop rows, two
+    neutrality temporaries per loop and three exponent temporaries; as
+    complex rows, the phases, masked terms, accumulator and result.  Loops
+    are at most the cups of the closed diagram, its own and one per output
+    qudit.
     """
     dense = 2 * 16 * diag.d ** max(diag.widths) * diag.d**diag.n_in
     n = diag.n_in + diag.n_out

@@ -245,13 +245,14 @@ def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[li
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _compile(shape: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+def _compile(shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """A shape's zeta-exponent form Q, its loop-neutrality forms and braid count.
 
     Returns Q as a read-only V x V integer matrix, the exponent being
-    y @ Q @ y for the variable vector y of ``_template``, one row per
-    removed loop, the loop's total charge y @ row, and the number of braid
-    summation variables.
+    y @ Q @ y for the variable vector y of ``_template``; Q + Q.T, whose
+    label rows give the part of the exponent linear in the labels; one row
+    per removed loop, the loop's total charge y @ row; and the number of
+    braid summation variables.
     """
     closed, forms, twist, n_vars, braids = _template(_shape_diagram(shape))
     pairs, loops = _reduce_closed(closed)
@@ -268,7 +269,7 @@ def _compile(shape: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     incidence = np.zeros((len(loops), size), dtype=np.int64)
     for r, loop in enumerate(loops):
         incidence[r, loop] = 1
-    return _frozen(quad), _frozen(incidence @ charges), braids
+    return _frozen(quad), _frozen(quad + quad.T), _frozen(incidence @ charges), braids
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +281,7 @@ def _label_grid(d: int, n: int) -> np.ndarray:
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _label_forms(shape: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The label-only parts of a shape's Q and loop forms, over all entries."""
-    quad, loops, _ = _compile(shape)
+    quad, _, loops, _ = _compile(shape)
     labels = _label_grid(shape[0], n)
     label_quad = np.sum(labels * (quad[1 : n + 1, 1 : n + 1] @ labels), axis=0)
     return _frozen(label_quad), _frozen(loops[:, 1 : n + 1] @ labels)
@@ -299,7 +300,7 @@ def closed_value(diag: Diagram) -> PhaseExponent:
         raise DiagramError("closed_value needs a diagram with no boundary points")
     if diag.has_braids():
         raise DiagramError("closed_value is exact-only; braided diagrams need evaluate_symbolic")
-    quad, loops, _ = _compile(_shape(diag))
+    quad, _, loops, _ = _compile(_shape(diag))
     y = np.array((1,) + _params(diag), dtype=np.int64)
     if np.any(loops @ y % diag.d):
         value = PhaseExponent.zero(diag.d)
@@ -334,11 +335,10 @@ def evaluate_symbolic(diag: Diagram) -> DiagramValue:
     numeric *= diag.scale.to_complex() * float(d) ** (-(n_in + n_out) / 4)
 
     shape = _shape(diag)
-    quad, loops, braids = _compile(shape)
+    quad, both, loops, braids = _compile(shape)
     label_quad, label_loops = _label_forms(shape, n)
     labels = _label_grid(d, n)
     table = _phase_table(d, len(loops))
-    both = quad + quad.T
     params = _params(diag)
     acc = np.zeros(d**n, dtype=complex)
     for choice in itertools.product(range(d), repeat=braids):

@@ -266,9 +266,23 @@ def operator_to_json(op: Operator) -> str:
     )
 
 
-def operator_from_json(text: str) -> Operator:
+def _json_dims(text: str, what: str) -> tuple[dict, int, int]:
+    """The JSON object in ``text`` and its integer fields d and n.
+
+    A document that is not an object, or a d or n that is not a JSON
+    integer (a float, a boolean, a list), is a ShapeError.
+    """
     doc = json.loads(text)
-    d, n = int(doc["d"]), int(doc["n"])
+    if not isinstance(doc, dict):
+        raise ShapeError(f"{what} must be a JSON object")
+    d, n = doc["d"], doc["n"]
+    if type(d) is not int or type(n) is not int:
+        raise ShapeError(f"{what} needs integer 'd' and 'n', got {d!r} and {n!r}")
+    return doc, d, n
+
+
+def operator_from_json(text: str) -> Operator:
+    doc, d, n = _json_dims(text, "operator JSON")
     dim = d**n
     re, im = np.asarray(doc["re"], float), np.asarray(doc["im"], float)
     if re.shape != (dim * dim,) or im.shape != (dim * dim,):
@@ -284,8 +298,7 @@ def state_to_json(state: StateVector) -> str:
 
 
 def state_from_json(text: str) -> StateVector:
-    doc = json.loads(text)
-    d, n = int(doc["d"]), int(doc["n"])
+    doc, d, n = _json_dims(text, "state JSON")
     re, im = np.asarray(doc["re"], float), np.asarray(doc["im"], float)
     if re.shape != (d**n,) or im.shape != (d**n,):
         raise ShapeError(f"state JSON needs {d**n} entries per component")

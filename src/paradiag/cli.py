@@ -36,6 +36,8 @@ from .diagrams import (
     evaluate_symbolic,
     parse_diagram,
 )
+from .diagrams.dense import _peak
+from .diagrams.ir import _shape
 from .protocol import run_mct_controlled
 from .scalars import DimensionError, Tolerance, global_phase_deviation
 
@@ -94,11 +96,11 @@ def _refuse_oversized(need: int, what: str, subject: str) -> bool:
 
 
 def _eval_bytes(diag: Diagram, backend: str) -> int:
-    """Peak bytes an evaluation holds, estimated from the string counts alone.
+    """Peak bytes an evaluation holds, estimated without evaluating.
 
-    Dense: an upper bound, the widest tensor, d**width rows by d**n_in
-    columns, and its output copy; caps and input pairs that never meet a
-    braid stay out of the tensor, so it is often much narrower.  Symbolic,
+    Dense: two complex arrays of the most axes the evaluator holds, those
+    of the largest factor or operator it builds (``_peak``, a count-only
+    walk of the slices) or the n_in + n_out of the final value.  Symbolic,
     in rows of one value per entry of the d**n_out x d**n_in matrix: as
     int64 rows, the n-row label grid and the two n-row products that build
     its quadratic part, the cached quadratic row and loop rows, two
@@ -107,8 +109,8 @@ def _eval_bytes(diag: Diagram, backend: str) -> int:
     are at most the cups of the closed diagram, its own and one per output
     qudit.
     """
-    dense = 2 * 16 * diag.d ** max(diag.widths) * diag.d**diag.n_in
     n = diag.n_in + diag.n_out
+    dense = 2 * 16 * diag.d ** max(_peak(_shape(diag)), n)
     loops = diag.n_out + sum(s.kind == CUP for s in diag.slices)
     symbolic = diag.d**n * (8 * (3 * n + 3 * loops + 4) + 16 * 4)
     return {"dense": dense, "symbolic": symbolic, "both": dense + symbolic}[backend]
@@ -210,8 +212,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 def _load_blocks(path: str) -> tuple[int, int, list[list[Operator]], StateVector | None]:
     with open(path) as fh:
-        doc = json.load(fh)
-    d, n = int(doc["d"]), int(doc["n"])
+        doc, d, n = algebra._json_dims(fh.read(), path)
     blists = doc["parties"]
     if not isinstance(blists, list) or not all(
         isinstance(blist, list) and all(isinstance(b, dict) for b in blist) for blist in blists

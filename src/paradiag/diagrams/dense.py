@@ -23,49 +23,40 @@ per charge-free shape, since it depends on the caps and cups alone.  With that
 normalization the dense value agrees with the symbolic rewrite value
 exactly, not merely up to scale.
 
-Charges never touch the tensor.  A charge c_s(k) is a generalized Pauli, so
-the evaluator carries a pending frame beside the tensor: zeta**e times
-X**a_i Z**b_i on each string i, with the true value the frame applied to
-the stored tensor.  A charge updates the frame with integers alone: its
+Charges never touch an array.  A charge c_s(k) is a generalized Pauli, so
+the evaluator carries a pending frame beside its factors (below): zeta**e
+times X**a_i Z**b_i on each string i, with the true value the frame
+applied to the stored factors.  A charge updates the frame with integers alone: its
 tail Z**-k passes each X**a_i before s at the cost q**(-k*a_i)
 (Z X = q X Z), so e -= 2*k*a_i and b_i -= k, and then a_s += k.  A
 multicharge applies its items from the right and adds its twist to e, and
 zeta**e joins the final scale, so charge phases stay exact integers until
 that one multiply.
 
-Caps and input pairs stay out of the tensor too.  A cap is the shared
-maximally entangled pair, and the restriction to input qudit k_j starts
-string pair j in the charged cap state of column k_j, so each is held
-beside the tensor as a small pending pair state: d x d for a cap, d x d x d
-for input pair j, its last axis the column digit k_j.  Every string is
-either a tensor string (an axis of the tensor, in string order) or a leg of
-one pending pair.  The tensor's axes are its strings, then the column
-digits it holds, in the order they entered; the pending frame covers
-every string alike.  A pending pair enters the tensor only on a braid, on
-a cup whose contraction would otherwise move a tensor axis past another
-tensor string, or on an output qudit whose two strings are not the legs of
-one pair; it enters in one broadcast multiply at its two legs, its column
-digits appended, and nothing is transposed.  Every other event
-updates the pending states:
+Caps, input pairs and everything built from them form a tensor network:
+a list of factors joined by contractions.  A cap is the shared maximally
+entangled pair, and the restriction to input qudit k_j starts string pair
+j in the charged cap state of column k_j, so each starts as a factor of
+its own: d x d for a cap, d x d x d for input pair j, its last axis the
+column digit k_j.  A factor is an array and its column digits; the array's
+axes are the factor's legs, the strings it holds in string order, then its
+column digits.  Every string is a leg of exactly one factor, and the
+pending frame covers every string alike.
 
-* a cup on both legs of one pair closes a loop: a scalar, or a column
-  factor for an input pair;
-* a cup from a pending leg to a tensor string is the snake identity
-  (teleportation): the pair's other leg takes over that string's axis
-  through one d x d product on it, for each column digit the pair holds;
-* a cup joining two pending pairs fuses them into one on their outer legs;
-* the output restriction of a pending pair is a d-vector factor (d x d for
-  an input pair) on the new output axis.
-
-Every slice that does touch the tensor touches one or two strings that are
-adjacent among its string axes, so each is one pass over a free reshape of
-the C-contiguous tensor into (strings before, the strings it touches,
-everything after, columns included).  A cup, a braid and the output
-restriction first absorb the frame of their two strings into their small
-cached operator: right-multiplying by a Pauli pair is a column gather and a
-phase, looked up per (d, a1, b1, a2, b2).  The absorbed operator is then
-applied as one matrix product, to the tensor or to the pending states, and
-the two entries are reset (or, for a cup, removed).
+Two operations do all the work.  A merge multiplies two factors into one
+in a single broadcast product: each run of one factor's legs is one axis,
+of size 1 in the other factor, so the merged legs stay in string order and
+nothing is transposed; the column digits are the first factor's, then the
+second's.  A cup, a braid and each output qudit apply a small cached
+operator to two adjacent strings: they first absorb the frame of those
+strings into it (right-multiplying by a Pauli pair is a column gather and
+a phase, looked up per (d, a1, b1, a2, b2)), merge the strings' factors if
+they differ, and do one matrix product on a free reshape of the factor's
+C-contiguous array into (legs before, the two strings, everything after).
+A cup then drops both strings, which can leave a factor with no legs (a
+closed loop: a scalar, or a column factor); an output qudit turns its two
+strings into one output leg.  At the end the live factors merge in order of
+creation.
 
 A braid is the charge sum sum_k c_p(k) c_(p+1)(-k) over the principal
 sqrt(omega*d), mirrored and over the conjugate for the negative braid.  The
@@ -188,21 +179,14 @@ def _cup_row(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cap_pair(d: int) -> np.ndarray:
-    """A cap as a pending pair state: (left leg, right leg, no column digit)."""
-    return _frozen(_cap_vector(d).reshape(d, d, 1))
+    """A cap as a factor: (left leg, right leg), no column digit."""
+    return _frozen(_cap_vector(d).reshape(d, d))
 
 
 @lru_cache(maxsize=None)
 def _input_pair(d: int) -> np.ndarray:
-    """An input pair as a pending pair state: (left leg, right leg, column digit)."""
+    """An input pair as a factor: (left leg, right leg, column digit)."""
     return _frozen(pair_isometry(d).reshape(d, d, d))
-
-
-@lru_cache(maxsize=None)
-def _input_pairs(d: int, n: int) -> tuple[tuple[int, ...], tuple]:
-    """The pending pair of each of the 2n input strings, and input pair j as (state, (j,))."""
-    owner = tuple(j for j in range(n) for _ in (0, 1))
-    return owner, tuple((_input_pair(d), (j,)) for j in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -270,112 +254,90 @@ def _turn_excess(shape: tuple) -> int:
     return turn_excess(_shape_diagram(shape))
 
 
-def _enter(tensor: np.ndarray | None, owner: list[int], pend: list, cols: list[int], pid: int,
-           d: int) -> np.ndarray:
-    """Multiply pending pair ``pid`` into the tensor at its two legs.
+def _merge(facs: list, fac: list[int], f: int, g: int, d: int) -> None:
+    """Multiply factor g into factor f, in one broadcast product.
 
-    One broadcast multiply: the tensor gets a unit axis at each leg and one
-    after its columns, the state a unit axis for each run of tensor strings
-    and for the tensor's columns, so nothing is transposed.  The pair's
-    column digits go last.
+    The merged legs are f's and g's strings in string order; each run of
+    one factor's legs is one axis, of size 1 in the other factor.  The
+    column digits are f's, then g's.
     """
-    state, pair_cols = pend[pid]
-    pend[pid] = None
-    cols += pair_cols
-    if tensor is None:  # no tensor yet: the state is the tensor
-        owner[:] = [-1 if o == pid else o for o in owner]
-        return state
-    t_shape, s_shape = [1], [1]
-    for i, o in enumerate(owner):
-        if o == -1:
-            t_shape[-1] *= d
-        elif o == pid:
-            t_shape += [1, 1]
-            s_shape += [d, 1]
-            owner[i] = -1
-    return tensor.reshape(t_shape + [-1, 1]) * state.reshape(s_shape + [1, -1])
+    (x, x_cols), (y, y_cols) = facs[f], facs[g]
+    x_shape, y_shape, last = [], [], None
+    for o in fac:
+        if o == last:
+            (x_shape if o == f else y_shape)[-1] *= d
+        elif o == f or o == g:
+            x_shape.append(d if o == f else 1)
+            y_shape.append(d if o == g else 1)
+            last = o
+    facs[f] = (x.reshape(x_shape + [-1, 1]) * y.reshape(y_shape + [1, -1]), x_cols + y_cols)
+    facs[g] = None
+    fac[:] = [f if o == g else o for o in fac]
 
 
-def _other_leg(owner: list[int], leg: int) -> int:
-    """The position of the other leg of the pending pair with a leg at ``leg``."""
-    first = owner.index(owner[leg])
-    return owner.index(owner[leg], leg + 1) if first == leg else first
+def _apply(facs: list, fac: list[int], mat: np.ndarray, p: int, d: int) -> int:
+    """``mat`` (rows, d*d) on strings p, p+1, their factors merged first; returns the factor."""
+    f, g = fac[p - 1], fac[p]
+    if f != g:
+        _merge(facs, fac, f, g, d)
+    arr, cols = facs[f]
+    facs[f] = (np.matmul(mat, arr.reshape(d ** fac[: p - 1].count(f), d * d, -1)), cols)
+    return f
 
 
-def _take(owner: list[int], pend: list, leg: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Take the pending pair cupped at position ``leg`` off the pending list.
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _peak(shape: tuple) -> int:
+    """The most axes of any array ``evaluate_dense`` builds before its final value.
 
-    Returns the position of its other leg, its state with axes (other leg,
-    cupped leg, column digits), and its column digits.
+    A count-only walk of the evaluator: a factor carries its legs plus its
+    column digits, 3 for an input pair and 2 for a cap.  A cup, a braid
+    and an output qudit join the factors of their two strings when they
+    differ, then drop 2, 0 and 1 legs; the operator each absorbs has 4
+    minus that many axes.
     """
-    outer = _other_leg(owner, leg)
-    state, cols = pend[owner[leg]]
-    pend[owner[leg]] = None
-    return outer, state if outer < leg else state.swapaxes(0, 1), cols
+    _, top, slices = shape
+    size = [3] * (top // 2)
+    fac = [i // 2 for i in range(top)]
+    peak = 3 if top else 0
 
+    def join(p: int, drop: int) -> int:
+        nonlocal peak
+        f, g = fac[p - 1], fac[p]
+        if f != g:
+            size[f] += size[g]
+            fac[:] = [f if o == g else o for o in fac]
+            peak = max(peak, size[f])
+        size[f] -= drop
+        peak = max(peak, 4 - drop)
+        return f
 
-def _snake(tensor: np.ndarray, before: int, turn: np.ndarray, state: np.ndarray,
-           d: int) -> np.ndarray:
-    """The snake identity: a pending leg cupped with the tensor string after ``before``.
-
-    ``turn[x, y]`` is the cup between the pending leg x and the string y,
-    ``state`` the pair as (other leg, x, column digits).  The other leg takes
-    over the string's axis through the d x d product sum_x state[:, x] turn[x],
-    one for each column digit, which are appended last.
-    """
-    snake = np.matmul(turn.T, state)  # (other leg, y, column digits)
-    if snake.shape[2] == 1:
-        return np.matmul(snake[:, :, 0], tensor.reshape(before, d, -1))
-    return np.matmul(tensor.reshape(before, 1, d, -1).swapaxes(2, 3), snake.reshape(1, d, d, -1))
-
-
-def _fuse(left: np.ndarray, turn: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Two pending pairs joined by a cup: one pair on their outer legs.
-
-    ``left`` and ``right`` are the pairs as (outer leg, cupped leg, column
-    digits), ``left`` the one whose outer leg lies further left, and
-    ``turn[x, y]`` the cup between their cupped legs x and y.  The fused
-    state's column digits are the left pair's, then the right pair's.
-    """
-    half = np.matmul(turn.T, left).swapaxes(1, 2)  # (left outer, left columns, y)
-    fused = np.matmul(half[:, np.newaxis], right[np.newaxis])
-    return fused.reshape(left.shape[0], right.shape[0], -1)
-
-
-def _close(mat: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """A cup row or output adjoint ``mat`` on both legs of one pending pair.
-
-    Returns the factor (rows of ``mat``, column digits of the pair).
-    """
-    return mat @ state.reshape(mat.shape[1], -1)
-
-
-def _times(tensor: np.ndarray | None, before: int, factor: np.ndarray) -> np.ndarray:
-    """The tensor times ``factor`` (rows, column digits), its rows a new axis after ``before``.
-
-    The factor's column digits go last.  With no tensor yet, the factor is
-    the tensor.
-    """
-    if tensor is None:
-        return factor
-    return tensor.reshape(before, 1, -1, 1) * factor.reshape(1, factor.shape[0], 1, -1)
+    for kind, p, _ in slices:
+        if kind == CAP:
+            fac[p - 1 : p - 1] = [len(size)] * 2
+            size.append(2)
+            peak = max(peak, 2)
+        elif kind == CUP:
+            join(p, 2)
+            del fac[p - 1 : p + 1]
+        elif kind in (BRAID_POS, BRAID_NEG):
+            join(p, 0)
+    for i in range(len(fac) // 2):
+        fac[i : i + 2] = [join(i + 1, 1)]
+    return peak
 
 
 def evaluate_dense(diag: Diagram) -> DiagramValue:
     """Slice-by-slice dense value, restricted to the qudit basis.
 
-    The input pairs start as pending pair states, so the tensor holds only
-    the column digits of the input pairs that have entered it.
+    The input pairs start as factors, so the column space of each factor
+    is only that of the input pairs it holds.
     """
     d, n_in, n_out = diag.d, diag.n_in, diag.n_out
     dd = d * d
-    tensor = None  # until a factor or a pending pair enters it
-    cols: list[int] = []  # the input pairs whose column digit the tensor holds, in axis order
-    owner, pend = _input_pairs(d, n_in)
-    owner = list(owner)  # per string: its pending pair, or -1 on the tensor
-    pend = list(pend)  # per pending pair: (state, column digits), or None once gone
+    facs: list = [(_input_pair(d), (j,)) for j in range(n_in)]  # (array, column digits), or None once merged
+    fac = [i // 2 for i in range(diag.top)]  # per string: the factor that holds it
     a, b, e = [0] * diag.top, [0] * diag.top, 0  # the pending frame
-    scale, bent = 1.0, False  # bent: the diagram has a cap or a cup
+    bent = False  # the diagram has a cap or a cup
     for s in diag.slices:
         p = s.pos
         if s.kind == CHARGE:
@@ -386,79 +348,29 @@ def evaluate_dense(diag: Diagram) -> DiagramValue:
             ks = [k for _, k in s.items]
             e -= sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks)))
         elif s.kind == CAP:
-            owner[p - 1 : p - 1] = [len(pend)] * 2
-            pend.append((_cap_pair(d), ()))
-            bent = True
+            fac[p - 1 : p - 1] = [len(facs)] * 2
+            facs.append((_cap_pair(d), ()))
             a[p - 1 : p - 1] = [0, 0]
             b[p - 1 : p - 1] = [0, 0]
-        elif s.kind == CUP:
-            row = _absorb(_cup_row(d), a, b, p, d)
-            del a[p - 1 : p + 1], b[p - 1 : p + 1]
             bent = True
-            left, right = owner[p - 1], owner[p]
-            if left >= 0 and left == right:  # a loop
-                state, pair_cols = pend[left]
-                pend[left] = None
-                value = _close(row, state)
-                if pair_cols:
-                    tensor = _times(tensor, 1, value)
-                    cols += pair_cols
-                else:
-                    scale *= value[0, 0]
-                del owner[p - 1 : p + 1]
-                continue
-            turn = row.reshape(d, d)
-            if left >= 0 and right >= 0:
-                outer_l, state_l, cols_l = _take(owner, pend, p - 1)
-                outer_r, state_r, cols_r = _take(owner, pend, p)
-                if outer_l < outer_r:
-                    fused = (_fuse(state_l, turn, state_r), cols_l + cols_r)
-                else:
-                    fused = (_fuse(state_r, turn.T, state_l), cols_r + cols_l)
-                owner[outer_l] = owner[outer_r] = len(pend)
-                pend.append(fused)
-                del owner[p - 1 : p + 1]
-                continue
-            if left >= 0 or right >= 0:
-                leg, string = (p - 1, p) if left >= 0 else (p, p - 1)
-                outer = _other_leg(owner, leg)
-                if -1 in owner[min(outer, string) + 1 : max(outer, string)]:  # straddled
-                    tensor = _enter(tensor, owner, pend, cols, owner[leg], d)
-                else:
-                    outer, state, pair_cols = _take(owner, pend, leg)
-                    before = d ** owner[:string].count(-1)
-                    tensor = _snake(tensor, before, turn if leg < string else turn.T, state, d)
-                    cols += pair_cols
-                    owner[outer] = -1
-                    del owner[p - 1 : p + 1]
-                    continue
-            before = d ** owner[: p - 1].count(-1)
-            tensor = np.matmul(row, tensor.reshape(before, dd, -1))
-            del owner[p - 1 : p + 1]
+        elif s.kind == CUP:
+            _apply(facs, fac, _absorb(_cup_row(d), a, b, p, d), p, d)
+            del fac[p - 1 : p + 1], a[p - 1 : p + 1], b[p - 1 : p + 1]
+            bent = True
         elif s.kind in (BRAID_POS, BRAID_NEG):
-            for q in (p - 1, p):
-                if owner[q] >= 0:
-                    tensor = _enter(tensor, owner, pend, cols, owner[q], d)
-            gate = _absorb(_braid_gate(d, s.kind == BRAID_POS), a, b, p, d)
-            tensor = np.matmul(gate, tensor.reshape(d ** owner[: p - 1].count(-1), dd, -1))
+            _apply(facs, fac, _absorb(_braid_gate(d, s.kind == BRAID_POS), a, b, p, d), p, d)
     for i in range(n_out):  # output restriction, one string pair at a time
-        adjoint = _absorb(_pair_adjoint(d), a, b, 2 * i + 1, d)
-        if owner[i] >= 0 and owner[i] == owner[i + 1]:
-            state, pair_cols = pend[owner[i]]
-            pend[owner[i]] = None
-            tensor = _times(tensor, d**i, _close(adjoint, state))
-            cols += pair_cols
-        else:
-            for q in (i, i + 1):
-                if owner[q] >= 0:
-                    tensor = _enter(tensor, owner, pend, cols, owner[q], d)
-            tensor = np.matmul(adjoint, tensor.reshape(d**i, dd, -1))
-        owner[i : i + 2] = [-1]
-    if n_in > 1 and cols != sorted(cols):
+        fac[i : i + 2] = [_apply(facs, fac, _absorb(_pair_adjoint(d), a, b, 2 * i + 1, d), i + 1, d)]
+    live = [f for f, x in enumerate(facs) if x is not None]
+    for g in live[1:]:
+        _merge(facs, fac, live[0], g, d)
+    tensor, cols = facs[live[0]] if live else (None, ())
+    if n_in > 1 and list(cols) != sorted(cols):
         order = (0,) + tuple(1 + cols.index(j) for j in range(n_in))
         tensor = tensor.reshape((d**n_out,) + (d,) * n_in).transpose(order)
+    scale = 1.0
     if bent:  # without caps and cups every strand is straight: no excess turns
-        scale *= float(d) ** (_turn_excess(_shape(diag)) / 4)
+        scale = float(d) ** (_turn_excess(_shape(diag)) / 4)
     scale *= diag.scale.to_complex() * _zeta_powers(d)[e % dd]
     if n_out > 1:  # the order phase of a single label is 1
         scale = (scale * _order_phases(d, n_out))[:, np.newaxis]

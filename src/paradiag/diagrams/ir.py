@@ -112,10 +112,10 @@ class Diagram:
     scale: DiagramScale = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.scale is None:
-            object.__setattr__(self, "scale", DiagramScale.one(self.d))
         if self.d < 1:
             raise DiagramError(f"invalid dimension {self.d}")
+        if self.scale is None:
+            object.__setattr__(self, "scale", DiagramScale.one(self.d))
         if self.top < 0 or self.top % 2:
             raise DiagramError(f"top boundary must be even and nonnegative, got {self.top}")
         object.__setattr__(self, "slices", tuple(self.slices))
@@ -192,6 +192,13 @@ def _shape_diagram(shape: tuple) -> Diagram:
                                  for kind, pos, ps in slices))
 
 
+def _int_field(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer, not a float or a boolean."""
+    if type(value) is not int:
+        raise DiagramError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _slice_from_doc(i: int, doc: object) -> Generator:
     if not isinstance(doc, dict):
         raise DiagramError(f"slice {i}: expected an object, got {type(doc).__name__}")
@@ -200,25 +207,20 @@ def _slice_from_doc(i: int, doc: object) -> Generator:
         raise DiagramError(f"slice {i}: unknown kind {kind!r}")
     if kind == MULTICHARGE:
         items = doc.get("items")
-        if not isinstance(items, list):
-            raise DiagramError(f"slice {i}: multicharge needs an 'items' list")
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise DiagramError(f"slice {i}: multicharge needs an 'items' list of objects")
         try:
-            pairs = tuple((int(item["pos"]), int(item["k"])) for item in items)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DiagramError(f"slice {i}: bad multicharge item ({exc})") from exc
+            pairs = tuple((_int_field(item["pos"], f"slice {i}: item position"),
+                           _int_field(item["k"], f"slice {i}: item charge")) for item in items)
+        except KeyError as exc:
+            raise DiagramError(f"slice {i}: multicharge item without {exc}") from exc
         return Generator(MULTICHARGE, items=pairs)
-    try:
-        pos = int(doc.get("pos", 1))
-    except (TypeError, ValueError) as exc:
-        raise DiagramError(f"slice {i}: bad position ({exc})") from exc
+    pos = _int_field(doc.get("pos", 1), f"slice {i}: position")
     k = 0
     if kind == CHARGE:
         if "k" not in doc:
             raise DiagramError(f"slice {i}: charge needs a value 'k'")
-        try:
-            k = int(doc["k"])
-        except (TypeError, ValueError) as exc:
-            raise DiagramError(f"slice {i}: bad charge ({exc})") from exc
+        k = _int_field(doc["k"], f"slice {i}: charge")
     return Generator(kind, pos=pos, k=k)
 
 
@@ -233,27 +235,18 @@ def parse_diagram(text: str) -> Diagram:
     for key in ("d", "top"):
         if key not in doc:
             raise DiagramError(f"missing required field {key!r}")
-    try:
-        d = int(doc["d"])
-        top = int(doc["top"])
-    except (TypeError, ValueError) as exc:
-        raise DiagramError(f"bad 'd' or 'top' field ({exc})") from exc
+    d, top = _int_field(doc["d"], "'d'"), _int_field(doc["top"], "'top'")
+    if d < 1:  # before the prefactor, whose exact phase needs a dimension
+        raise DiagramError(f"invalid dimension {d}")
     slices = doc.get("slices", [])
     if not isinstance(slices, list):
         raise DiagramError("'slices' must be a list")
     gens = tuple(_slice_from_doc(i, s) for i, s in enumerate(slices))
-    scale = DiagramScale.one(d)
-    if "prefactor" in doc:
-        pf = doc["prefactor"]
-        if not isinstance(pf, dict):
-            raise DiagramError("'prefactor' must be an object")
-        scale = DiagramScale.of(
-            d,
-            zeta_exp=int(pf.get("zeta_exp", 0)),
-            sqrtd_exp=int(pf.get("sqrtd_exp", 0)),
-            quarter=int(pf.get("d4_exp", 0)),
-        )
-    return Diagram(d, top, gens, scale)
+    pf = doc.get("prefactor", {})
+    if not isinstance(pf, dict):
+        raise DiagramError("'prefactor' must be an object")
+    exps = (_int_field(pf.get(key, 0), f"prefactor {key!r}") for key in ("zeta_exp", "sqrtd_exp", "d4_exp"))
+    return Diagram(d, top, gens, DiagramScale.of(d, *exps))
 
 
 def diagram_to_json(diag: Diagram) -> str:

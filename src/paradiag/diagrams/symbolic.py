@@ -51,7 +51,7 @@ import numpy as np
 
 from ..scalars import PhaseExponent, sqrt_omega_d
 from .builtins import _bra_slices, _ket_slices
-from .dense import DiagramValue, _frozen
+from .dense import DiagramValue, _frozen, _zeta_powers
 from .ir import (
     BRAID_NEG,
     BRAID_POS,
@@ -317,9 +317,7 @@ def closed_value(diag: Diagram) -> PhaseExponent:
 @lru_cache(maxsize=None)
 def _phase_table(d: int, loops: int) -> np.ndarray:
     """sqrt(d)**loops * zeta**j for j < d*d, as PhaseExponent computes it."""
-    table = np.array([PhaseExponent(d, j, loops).to_complex() for j in range(d * d)])
-    table.flags.writeable = False
-    return table
+    return _frozen(_zeta_powers(d) * d ** (loops / 2))
 
 
 def evaluate_symbolic(diag: Diagram) -> DiagramValue:

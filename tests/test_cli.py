@@ -12,7 +12,8 @@ from paradiag import algebra
 from paradiag.algebra import Operator, embed_operator, fourier, gauss, pauli, random_unitary
 from paradiag.cli import _eval_bytes, main
 from paradiag.compression import assemble_controlled
-from paradiag.diagrams import CAP, CUP, Diagram, Generator
+from paradiag.diagrams import BRAID_POS, CAP, CHARGE, CUP, Diagram, Generator, builtin, evaluate_dense, random_diagram
+from paradiag.diagrams.ir import diagram_to_json
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,79 @@ def test_eval_symbolic_estimate_counts_label_grid(d, top, slices):
     grid = np.indices((d,) * n).nbytes
     assert _eval_bytes(diag, "symbolic") >= 3 * grid + 16 * d**n
     assert _eval_bytes(diag, "both") == _eval_bytes(diag, "dense") + _eval_bytes(diag, "symbolic")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_eval_dense_estimate_bounds_every_array(monkeypatch, d):
+    """Every factor and absorbed operator the dense evaluator builds fits in the dense estimate."""
+    from paradiag.diagrams import dense
+
+    rng = np.random.default_rng(400 + d)
+    small = [Diagram(d, 2, (Generator(CHARGE, 1, 1), Generator(BRAID_POS, 1))),  # a 4-axis gate
+             Diagram(d, 0, (Generator(CAP, 1), Generator(CHARGE, 2, 1)))]  # a 3-axis adjoint
+    for diag in small + [random_diagram(d, rng, max_strings=8, max_slices=10) for _ in range(60)]:
+        bound, cells = _eval_bytes(diag, "dense"), []
+        for name in ("_merge", "_apply"):
+            fn = getattr(dense, name)
+
+            def spy(facs, fac, *args, fn=fn, name=name):
+                f = fn(facs, fac, *args)
+                cells.append(max(x[0].size for x in facs if x is not None))
+                if name == "_apply":  # the absorbed operator
+                    cells.append(args[0].size)
+                return f
+
+            monkeypatch.setattr(dense, name, spy)
+        cells.append(evaluate_dense(diag).array.size)
+        monkeypatch.undo()
+        assert 2 * 16 * max(cells) <= bound, diag
+
+
+def test_eval_dense_admits_wide_resource_diagram(capsys, tmp_path):
+    """The n = 16 resource state has width 32 but factors of at most 18 axes: it is evaluated."""
+    path = tmp_path / "max16.json"
+    path.write_text(diagram_to_json(builtin("max", 2, 16)))
+    code, out, err = run_cli(capsys, "eval", str(path), "--backend", "dense")
+    assert code == 0, err
+    report = json.loads(out)
+    amps = np.array(report["re"]) + 1j * np.array(report["im"])
+    assert report["n_out"] == 16 and abs(np.vdot(amps, amps) - 1) <= 1e-9
+
+
+IDENTITY = '{"d": 2, "n": 1, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}'
+MALFORMED = {
+    "eval zeta_exp string": ("eval", '{"d": 2, "top": 2, "prefactor": {"zeta_exp": "x"}}'),
+    "eval zeta_exp list": ("eval", '{"d": 2, "top": 2, "prefactor": {"zeta_exp": [1]}}'),
+    "eval huge charge": ("eval", '{"d": 2, "top": 2, "slices": [{"kind": "charge", "pos": 1, "k": 1e400}]}'),
+    "eval huge prefactor": ("eval", '{"d": 2, "top": 2, "prefactor": {"sqrtd_exp": 1e400}}'),
+    "eval d zero": ("eval", '{"d": 0, "top": 2}'),
+    "eval d negative": ("eval", '{"d": -3, "top": 2}'),
+    "eval d fraction": ("eval", '{"d": 2.5, "top": 2}'),
+    "eval d boolean": ("eval", '{"d": true, "top": 2}'),
+    "compress d list": ("compress", '{"d": [2], "n": 1, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}'),
+    "compress huge d": ("compress", '{"d": 1e400, "n": 1, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}'),
+    "compress d fraction": ("compress", '{"d": 2.5, "n": 1, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}'),
+    "compress d boolean": ("compress", '{"d": true, "n": 1, "re": [1], "im": [0]}'),
+    "compress list document": ("compress", "[1, 2]"),
+    "mct d list": ("mct", '{"d": [2], "n": 1, "parties": [[%s]]}' % IDENTITY),
+    "mct huge d": ("mct", '{"d": 1e400, "n": 1, "parties": [[%s]]}' % IDENTITY),
+    "mct list document": ("mct", "[1]"),
+    "mct operator n list": ("mct", '{"d": 2, "n": 1, "parties": [[%s]]}' % IDENTITY.replace('"n": 1', '"n": [1]')),
+    "mct input list": ("mct", '{"d": 2, "n": 1, "parties": [[%s]], "input": [1]}' % IDENTITY),
+}
+
+
+@pytest.mark.parametrize("command, text", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_numbers_are_invalid_input(capsys, tmp_path, command, text):
+    """A field that is not a JSON integer, or a document that is not an object: exit 2, one error line."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = {"eval": ["eval", str(path)], "compress": ["compress", str(path), "--j", "1"],
+            "mct": ["mct", "--d", "2", "--n", "1", "--blocks", str(path)]}[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_eval_readme_example(capsys, tmp_path):

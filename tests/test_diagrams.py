@@ -307,55 +307,44 @@ def test_dense_absorb_points_agree_entrywise(monkeypatch, build, kind, count, d)
     assert np.max(np.abs(got - evaluate_symbolic(diag).array)) <= 1e-9
 
 
-# One diagram per pending-pair event, as (top, slices, the branches its dense
-# evaluation takes, in order): "enter" (a pending pair multiplied into the
-# tensor), "snake"/"loop"/"read" (a pending leg cupped with a tensor string, a
-# cup on both legs of one pair, the output read from one pair), each of a
-# cap-shaped pair or of one that carries column digits, and "fuse" (a cup
-# joining two pairs).  The cupped legs carry charges, so the frame reaches
-# every branch.
+# One diagram for each way a cap or input-pair factor meets another, as
+# (top, slices, how many factor merges its dense evaluation makes): a cup on
+# both legs of one factor (a loop, whose factor is merged at the end), a cup
+# from a cap or an input pair to another factor (the zig-zag), two caps or a
+# cap and an input pair joined side by side or nested, a braid on a cap leg,
+# nested legs around another string, and outputs read from one factor.  The
+# cupped legs carry charges, so the frame reaches every operator.
 PENDING_CASES = {
-    "loop on a cap": (2, [(CAP, 3), (CHARGE, 3, 1), (CHARGE, 4, -1), (CUP, 3)], ["loop cap", "read input"]),
-    "loop on an input pair": (4, [(CHARGE, 4, 1), (CHARGE, 3, 2), (CUP, 3)], ["loop input", "read input"]),
-    "zig-zag right on a cap": (2, [(BRAID_POS, 1), (CAP, 3), (CHARGE, 3, 1), (CUP, 2)], ["enter", "snake cap"]),
-    "zig-zag left on a cap": (2, [(BRAID_NEG, 1), (CAP, 1), (CHARGE, 2, 1), (CUP, 2)], ["enter", "snake cap"]),
-    "zig-zag right on an input pair": (4, [(BRAID_POS, 1), (CHARGE, 3, 1), (CUP, 2)], ["enter", "snake input"]),
-    "zig-zag left on an input pair": (4, [(BRAID_POS, 3), (CHARGE, 2, 1), (CUP, 2)], ["enter", "snake input"]),
-    "two caps fused": (0, [(CAP, 1), (CAP, 3), (CHARGE, 2, 1), (CHARGE, 3, 2), (CUP, 2)], ["fuse", "read cap"]),
-    "nested caps fused": (0, [(CAP, 1), (CAP, 2), (CHARGE, 3, 1), (CHARGE, 4, 2), (CUP, 3)], ["fuse", "read cap"]),
-    "cap fused with an input pair": (2, [(CAP, 3), (CHARGE, 2, 1), (CHARGE, 3, 2), (CUP, 2)],
-                                     ["fuse", "read input"]),
-    "nested cap fused with an input pair": (2, [(CAP, 2), (CHARGE, 3, 1), (CHARGE, 4, 2), (CUP, 3)],
-                                            ["fuse", "read input"]),
-    "braid on a pending leg": (2, [(CAP, 3), (CHARGE, 3, 1), (BRAID_POS, 2)], ["enter", "enter"]),
+    "loop on a cap": (2, [(CAP, 3), (CHARGE, 3, 1), (CHARGE, 4, -1), (CUP, 3)], 1),
+    "loop on an input pair": (4, [(CHARGE, 4, 1), (CHARGE, 3, 2), (CUP, 3)], 1),
+    "zig-zag right on a cap": (2, [(BRAID_POS, 1), (CAP, 3), (CHARGE, 3, 1), (CUP, 2)], 1),
+    "zig-zag left on a cap": (2, [(BRAID_NEG, 1), (CAP, 1), (CHARGE, 2, 1), (CUP, 2)], 1),
+    "zig-zag right on an input pair": (4, [(BRAID_POS, 1), (CHARGE, 3, 1), (CUP, 2)], 1),
+    "zig-zag left on an input pair": (4, [(BRAID_POS, 3), (CHARGE, 2, 1), (CUP, 2)], 1),
+    "two caps fused": (0, [(CAP, 1), (CAP, 3), (CHARGE, 2, 1), (CHARGE, 3, 2), (CUP, 2)], 1),
+    "nested caps fused": (0, [(CAP, 1), (CAP, 2), (CHARGE, 3, 1), (CHARGE, 4, 2), (CUP, 3)], 1),
+    "cap fused with an input pair": (2, [(CAP, 3), (CHARGE, 2, 1), (CHARGE, 3, 2), (CUP, 2)], 1),
+    "nested cap fused with an input pair": (2, [(CAP, 2), (CHARGE, 3, 1), (CHARGE, 4, 2), (CUP, 3)], 1),
+    "braid on a pending leg": (2, [(CAP, 3), (CHARGE, 3, 1), (BRAID_POS, 2)], 1),
     "nested legs straddle a tensor string": (0, [(CAP, 1), (CAP, 2), (BRAID_POS, 2), (CHARGE, 4, 1), (CUP, 3)],
-                                             ["enter", "enter"]),
-    "output read from a cap": (0, [(CAP, 1), (CHARGE, 2, 1)], ["read cap"]),
-    "output read from an input pair": (2, [(CHARGE, 1, 1), (CHARGE, 2, 1)], ["read input"]),
+                                             1),
+    "output read from a cap": (0, [(CAP, 1), (CHARGE, 2, 1)], 0),
+    "output read from an input pair": (2, [(CHARGE, 1, 1), (CHARGE, 2, 1)], 0),
 }
 
 
 @pytest.mark.parametrize("d", range(2, 9))
-@pytest.mark.parametrize("top, slices, branches", PENDING_CASES.values(), ids=PENDING_CASES)
-def test_pending_pair_events_agree_entrywise(monkeypatch, top, slices, branches, d):
-    """Each pending-pair event takes its own branch, and dense = symbolic entrywise."""
+@pytest.mark.parametrize("top, slices, merges", PENDING_CASES.values(), ids=PENDING_CASES)
+def test_pending_pair_events_agree_entrywise(monkeypatch, top, slices, merges, d):
+    """Each case makes its own number of factor merges, and dense = symbolic entrywise."""
     from paradiag.diagrams import dense
 
     seen = []
-
-    def held(state):
-        return "cap" if state.shape[-1] == 1 else "input"
-
-    def spy(name, fn, label):
-        monkeypatch.setattr(dense, name, lambda *args: seen.append(label(*args)) or fn(*args))
-
-    spy("_enter", dense._enter, lambda *args: "enter")
-    spy("_snake", dense._snake, lambda tensor, before, turn, state, d: f"snake {held(state)}")
-    spy("_fuse", dense._fuse, lambda *args: "fuse")
-    spy("_close", dense._close, lambda mat, state: f"{'read' if mat.shape[0] > 1 else 'loop'} {held(state)}")
+    merge = dense._merge
+    monkeypatch.setattr(dense, "_merge", lambda *args: seen.append(1) or merge(*args))
     diag = Diagram(d, top, tuple(Generator(*s) for s in slices))
     got = evaluate_dense(diag).array
-    assert seen == branches
+    assert len(seen) == merges
     want = evaluate_symbolic(diag).array
     assert np.max(np.abs(want)) > 0.1  # a zero value would check nothing
     assert np.max(np.abs(got - want)) <= 1e-9
@@ -363,7 +352,7 @@ def test_pending_pair_events_agree_entrywise(monkeypatch, top, slices, branches,
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_charge_only_diagrams_leave_cached_arrays_alone(d):
-    """Charges never touch the tensor, so the cached pending pair states stay as they were."""
+    """Charges never touch an array, so the cached factors and operators stay as they were."""
     from paradiag.diagrams import dense
 
     charged = Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(MULTICHARGE, items=((1, 2), (3, 1))),))

@@ -16,6 +16,7 @@ with indices mod d.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -266,13 +267,13 @@ def operator_to_json(op: Operator) -> str:
     )
 
 
-def _json_dims(text: str, what: str) -> tuple[dict, int, int]:
-    """The JSON object in ``text`` and its integer fields d and n.
+def _json_dims(source: str | dict, what: str) -> tuple[dict, int, int]:
+    """The JSON object ``source`` (text, or already parsed) and its integer fields d and n.
 
     A document that is not an object, or a d or n that is not a JSON
     integer (a float, a boolean, a list), is a ShapeError.
     """
-    doc = json.loads(text)
+    doc = json.loads(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
         raise ShapeError(f"{what} must be a JSON object")
     d, n = doc["d"], doc["n"]
@@ -281,13 +282,20 @@ def _json_dims(text: str, what: str) -> tuple[dict, int, int]:
     return doc, d, n
 
 
-def operator_from_json(text: str) -> Operator:
-    doc, d, n = _json_dims(text, "operator JSON")
+def _json_entries(doc: dict, size: int, what: str) -> np.ndarray:
+    """re + 1j*im of ``doc``, each a flat list of ``size`` finite JSON numbers, else a ShapeError."""
+    parts = (doc["re"], doc["im"])
+    if not all(isinstance(xs, list) and len(xs) == size
+               and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in xs) for xs in parts):
+        raise ShapeError(f"{what} needs 're' and 'im' as lists of {size} finite numbers")
+    re, im = np.array(parts, dtype=float)
+    return re + 1j * im
+
+
+def operator_from_json(source: str | dict) -> Operator:
+    doc, d, n = _json_dims(source, "operator JSON")
     dim = d**n
-    re, im = np.asarray(doc["re"], float), np.asarray(doc["im"], float)
-    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
-        raise ShapeError(f"operator JSON needs {dim * dim} entries per component")
-    return Operator(d, n, (re + 1j * im).reshape(dim, dim))
+    return Operator(d, n, _json_entries(doc, dim * dim, "operator JSON").reshape(dim, dim))
 
 
 def state_to_json(state: StateVector) -> str:
@@ -297,9 +305,6 @@ def state_to_json(state: StateVector) -> str:
     )
 
 
-def state_from_json(text: str) -> StateVector:
-    doc, d, n = _json_dims(text, "state JSON")
-    re, im = np.asarray(doc["re"], float), np.asarray(doc["im"], float)
-    if re.shape != (d**n,) or im.shape != (d**n,):
-        raise ShapeError(f"state JSON needs {d**n} entries per component")
-    return StateVector(d, n, re + 1j * im)
+def state_from_json(source: str | dict) -> StateVector:
+    doc, d, n = _json_dims(source, "state JSON")
+    return StateVector(d, n, _json_entries(doc, d**n, "state JSON"))

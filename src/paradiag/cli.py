@@ -30,16 +30,15 @@ from .diagrams import (
     CUP,
     RELATION_IDS,
     Diagram,
-    DiagramError,
     check_relation,
     evaluate_dense,
     evaluate_symbolic,
     parse_diagram,
 )
-from .diagrams.dense import _peak
+from .diagrams.dense import _plan
 from .diagrams.ir import _shape
 from .protocol import run_mct_controlled
-from .scalars import DimensionError, Tolerance, global_phase_deviation
+from .scalars import Tolerance, global_phase_deviation
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -85,6 +84,18 @@ def cmd_relations(args: argparse.Namespace) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
+def _read(path: str, parse, bad: str = ""):
+    """``parse`` of the text in ``path``; None after one error line if it cannot be read or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # before ValueError, UnicodeDecodeError's base
+        _summary(f"error: cannot read {path}: {exc}")
+    except (ValueError, KeyError) as exc:
+        _summary(f"error: {bad}{exc}")
+    return None
+
+
 def _refuse_oversized(need: int, what: str, subject: str) -> bool:
     """Report and return True when ``need`` bytes exceed physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -99,9 +110,9 @@ def _eval_bytes(diag: Diagram, backend: str) -> int:
     """Peak bytes an evaluation holds, estimated without evaluating.
 
     Dense: two complex arrays of the most axes the evaluator holds, those
-    of the largest factor or operator it builds (``_peak``, a count-only
-    walk of the slices) or the n_in + n_out of the final value.  Symbolic,
-    in rows of one value per entry of the d**n_out x d**n_in matrix: as
+    of the largest factor or operator it builds (the ``peak`` of its
+    plan) or the n_in + n_out of the final value.  Symbolic, in rows of
+    one value per entry of the d**n_out x d**n_in matrix: as
     int64 rows, the n-row label grid and the two n-row products that build
     its quadratic part, the cached quadratic row and loop rows, two
     neutrality temporaries per loop and three exponent temporaries; as
@@ -110,21 +121,15 @@ def _eval_bytes(diag: Diagram, backend: str) -> int:
     qudit.
     """
     n = diag.n_in + diag.n_out
-    dense = 2 * 16 * diag.d ** max(_peak(_shape(diag)), n)
+    dense = 2 * 16 * diag.d ** max(_plan(_shape(diag)).peak, n)
     loops = diag.n_out + sum(s.kind == CUP for s in diag.slices)
     symbolic = diag.d**n * (8 * (3 * n + 3 * loops + 4) + 16 * 4)
     return {"dense": dense, "symbolic": symbolic, "both": dense + symbolic}[backend]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        with open(args.diagram) as fh:
-            diag = parse_diagram(fh.read())
-    except OSError as exc:
-        _summary(f"error: cannot read {args.diagram}: {exc}")
-        return EXIT_INVALID
-    except DiagramError as exc:
-        _summary(f"error: {exc}")
+    diag = _read(args.diagram, parse_diagram)
+    if diag is None:
         return EXIT_INVALID
     if _refuse_oversized(_eval_bytes(diag, args.backend), f"--backend {args.backend}",
                          "this diagram"):
@@ -161,14 +166,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    try:
-        with open(args.matrix) as fh:
-            op = algebra.operator_from_json(fh.read())
-    except OSError as exc:
-        _summary(f"error: cannot read {args.matrix}: {exc}")
-        return EXIT_INVALID
-    except (ValueError, KeyError) as exc:
-        _summary(f"error: bad matrix file: {exc}")
+    op = _read(args.matrix, algebra.operator_from_json, "bad matrix file: ")
+    if op is None:
         return EXIT_INVALID
     if not 1 <= args.j <= op.n:
         _summary(f"error: qudit index {args.j} out of range for n={op.n}")
@@ -210,22 +209,21 @@ def cmd_compress(args: argparse.Namespace) -> int:
     return EXIT_INDETERMINATE
 
 
-def _load_blocks(path: str) -> tuple[int, int, list[list[Operator]], StateVector | None]:
-    with open(path) as fh:
-        doc, d, n = algebra._json_dims(fh.read(), path)
+def _load_blocks(text: str, path: str) -> tuple[int, int, list[list[Operator]], StateVector | None]:
+    doc, d, n = algebra._json_dims(text, path)
     blists = doc["parties"]
     if not isinstance(blists, list) or not all(
         isinstance(blist, list) and all(isinstance(b, dict) for b in blist) for blist in blists
     ):
         raise ValueError(f"{path}: parties must be a list of lists of operator objects")
+    if not isinstance(doc.get("input", {}), dict):
+        raise ValueError(f"{path}: input must be a state object")
     parties = []
     for j, blist in enumerate(blists, start=1):
         if not blist:
             raise ValueError(f"{path}: party {j} has no blocks")
-        parties.append([algebra.operator_from_json(json.dumps(b)) for b in blist])
-    input_state = None
-    if "input" in doc:
-        input_state = algebra.state_from_json(json.dumps(doc["input"]))
+        parties.append([algebra.operator_from_json(b) for b in blist])
+    input_state = algebra.state_from_json(doc["input"]) if "input" in doc else None
     return d, n, parties, input_state
 
 
@@ -249,37 +247,33 @@ def cmd_mct(args: argparse.Namespace) -> int:
     if args.random is not None and args.random < 1:
         _summary(f"error: need --random >= 1, got {args.random}")
         return EXIT_INVALID
-    tol = Tolerance(args.tol)
+    d, n, tol, rng = args.d, args.n, Tolerance(args.tol), np.random.default_rng(args.seed)
+    if args.blocks:
+        loaded = _read(args.blocks, lambda text: _load_blocks(text, args.blocks))
+        if loaded is None:
+            return EXIT_INVALID
+        d, n, parties, input_state = loaded
+        if (d, n) != (args.d, args.n):
+            _summary(f"error: {args.blocks} holds d={d}, n={n}, "
+                     f"but --d {args.d} --n {args.n} was given")
+            return EXIT_INVALID
+        data = sum(b[0].n for b in parties) + 1  # data qudits, the leader's included
+        trials = [(parties, input_state, args.seed)]
+    else:
+        data = n + 1
+        # one sampling seed per trial, so sample-mode trials draw independently
+        trials = (([[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)], None,
+                   int(child.generate_state(1)[0]))
+                  for child in np.random.SeedSequence(args.seed).spawn(args.random))
+    if _mct_refused(d, data + n + 1):
+        return EXIT_INVALID
     runs = []
     try:
-        if args.blocks:
-            d, n, parties, input_state = _load_blocks(args.blocks)
-            if (d, n) != (args.d, args.n):
-                _summary(f"error: {args.blocks} holds d={d}, n={n}, "
-                         f"but --d {args.d} --n {args.n} was given")
-                return EXIT_INVALID
-            if _mct_refused(d, sum(b[0].n for b in parties) + n + 2):
-                return EXIT_INVALID
-            rng = np.random.default_rng(args.seed)
+        for parties, input_state, seed in trials:  # (blocks, input or None for a random one, seed)
             if input_state is None:
-                input_state = _random_input(d, sum(b[0].n for b in parties) + 1, rng)
-            run = run_mct_controlled(d, n, parties, input_state, mode=args.mode, tol=tol, seed=args.seed)
-            runs.append(run)
-        else:
-            if _mct_refused(args.d, 2 * args.n + 2):
-                return EXIT_INVALID
-            rng = np.random.default_rng(args.seed)
-            # one sampling seed per trial, so sample-mode trials draw independently
-            for child in np.random.SeedSequence(args.seed).spawn(args.random):
-                parties = [
-                    [random_unitary(args.d, 1, rng) for _ in range(args.d)] for _ in range(args.n)
-                ]
-                input_state = _random_input(args.d, args.n + 1, rng)
-                runs.append(run_mct_controlled(
-                    args.d, args.n, parties, input_state, mode=args.mode, tol=tol,
-                    seed=int(child.generate_state(1)[0]),
-                ))
-    except (ValueError, KeyError, OSError, DimensionError) as exc:
+                input_state = _random_input(d, data, rng)
+            runs.append(run_mct_controlled(d, n, parties, input_state, mode=args.mode, tol=tol, seed=seed))
+    except ValueError as exc:
         _summary(f"error: {exc}")
         return EXIT_INVALID
 

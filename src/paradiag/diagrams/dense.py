@@ -43,20 +43,23 @@ axes are the factor's legs, the strings it holds in string order, then its
 column digits.  Every string is a leg of exactly one factor, and the
 pending frame covers every string alike.
 
-Two operations do all the work.  A merge multiplies two factors into one
-in a single broadcast product: each run of one factor's legs is one axis,
-of size 1 in the other factor, so the merged legs stay in string order and
-nothing is transposed; the column digits are the first factor's, then the
-second's.  A cup, a braid and each output qudit apply a small cached
-operator to two adjacent strings: they first absorb the frame of those
-strings into it (right-multiplying by a Pauli pair is a column gather and
-a phase, looked up per (d, a1, b1, a2, b2)), merge the strings' factors if
-they differ, and do one matrix product on a free reshape of the factor's
-C-contiguous array into (legs before, the two strings, everything after).
-A cup then drops both strings, which can leave a factor with no legs (a
-closed loop: a scalar, or a column factor); an output qudit turns its two
-strings into one output leg.  At the end the live factors merge in order of
-creation.
+Everything but the charge values is fixed by the charge-free shape, so
+one walk of the slices per shape records a cached plan: for each cup,
+braid and output qudit, the factor it acts on, the merge it needs first
+and the reshape of its matrix product.  A merge multiplies two factors
+into one in a single broadcast product: each run of one factor's legs is
+one axis, of size 1 in the other, so the merged legs stay in string order
+and nothing is transposed; the column digits are the first factor's, then
+the second's.  A step's small cached operator first absorbs the frame of
+its two adjacent strings (right-multiplying by a Pauli pair is a column
+gather and a phase, looked up per (d, a1, b1, a2, b2)), then acts by one
+matrix product on a free reshape of the factor's C-contiguous array into
+(legs before, the two strings, everything after).  A cup drops both
+strings, which can leave a factor with no legs (a closed loop: a scalar,
+or a column factor); an output qudit turns its two strings into one output
+leg.  At the end the live factors merge in order of creation.  The plan
+also holds the turn excess and the most axes of any factor or operator,
+which bounds the memory of an evaluation.
 
 A braid is the charge sum sum_k c_p(k) c_(p+1)(-k) over the principal
 sqrt(omega*d), mirrored and over the conjugate for the negative braid.  The
@@ -76,6 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,96 +252,99 @@ def _braid_gate(d: int, positive: bool) -> np.ndarray:
     return _frozen(gate * (norm if positive else np.conj(norm)))
 
 
-@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _turn_excess(shape: tuple) -> int:
-    """``turn_excess`` of every diagram of one charge-free shape."""
-    return turn_excess(_shape_diagram(shape))
+class _Plan(NamedTuple):
+    """The factor steps of one charge-free shape, in evaluation order.
 
-
-def _merge(facs: list, fac: list[int], f: int, g: int, d: int) -> None:
-    """Multiply factor g into factor f, in one broadcast product.
-
-    The merged legs are f's and g's strings in string order; each run of
-    one factor's legs is one axis, of size 1 in the other factor.  The
-    column digits are f's, then g's.
+    A step ``(f, merge, view)`` first multiplies factor g into factor f if
+    ``merge`` is ``(g, f's broadcast shape, g's)``, then its operator into
+    f reshaped to ``view``, unless that is None (the final merges, which
+    leave one factor).  ``order`` puts the final columns in qudit order;
+    ``peak`` is the most axes of any factor or operator the steps build.
     """
-    (x, x_cols), (y, y_cols) = facs[f], facs[g]
-    x_shape, y_shape, last = [], [], None
-    for o in fac:
-        if o == last:
-            (x_shape if o == f else y_shape)[-1] *= d
-        elif o == f or o == g:
-            x_shape.append(d if o == f else 1)
-            y_shape.append(d if o == g else 1)
-            last = o
-    facs[f] = (x.reshape(x_shape + [-1, 1]) * y.reshape(y_shape + [1, -1]), x_cols + y_cols)
-    facs[g] = None
-    fac[:] = [f if o == g else o for o in fac]
 
-
-def _apply(facs: list, fac: list[int], mat: np.ndarray, p: int, d: int) -> int:
-    """``mat`` (rows, d*d) on strings p, p+1, their factors merged first; returns the factor."""
-    f, g = fac[p - 1], fac[p]
-    if f != g:
-        _merge(facs, fac, f, g, d)
-    arr, cols = facs[f]
-    facs[f] = (np.matmul(mat, arr.reshape(d ** fac[: p - 1].count(f), d * d, -1)), cols)
-    return f
+    caps: int
+    steps: tuple
+    order: tuple | None
+    excess: int
+    peak: int
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _peak(shape: tuple) -> int:
-    """The most axes of any array ``evaluate_dense`` builds before its final value.
-
-    A count-only walk of the evaluator: a factor carries its legs plus its
-    column digits, 3 for an input pair and 2 for a cap.  A cup, a braid
-    and an output qudit join the factors of their two strings when they
-    differ, then drop 2, 0 and 1 legs; the operator each absorbs has 4
-    minus that many axes.
-    """
-    _, top, slices = shape
-    size = [3] * (top // 2)
-    fac = [i // 2 for i in range(top)]
+def _plan(shape: tuple) -> _Plan:
+    """Walk the slices of a charge-free shape once, recording each factor step."""
+    d, top, slices = shape
+    cols: list = [(j,) for j in range(top // 2)]  # per factor: its column digits, or None once merged
+    fac = [i // 2 for i in range(top)]  # per string: the factor that holds it
+    steps: list = []
     peak = 3 if top else 0
 
-    def join(p: int, drop: int) -> int:
+    def merge(f: int, g: int) -> tuple:
+        """Record g multiplied into f: each run of one factor's legs is one axis, size 1 in the other."""
+        nonlocal peak
+        x_shape, y_shape, last = [], [], None
+        for o in fac:
+            if o == last:
+                (x_shape if o == f else y_shape)[-1] *= d
+            elif o == f or o == g:
+                x_shape.append(d if o == f else 1)
+                y_shape.append(d if o == g else 1)
+                last = o
+        cols[f], cols[g] = cols[f] + cols[g], None
+        fac[:] = [f if o == g else o for o in fac]
+        peak = max(peak, fac.count(f) + len(cols[f]))
+        return g, tuple(x_shape) + (-1, 1), tuple(y_shape) + (1, -1)
+
+    def step(p: int, drop: int) -> int:
+        """An operator on strings p, p+1 that leaves ``drop`` fewer legs; returns its factor."""
         nonlocal peak
         f, g = fac[p - 1], fac[p]
-        if f != g:
-            size[f] += size[g]
-            fac[:] = [f if o == g else o for o in fac]
-            peak = max(peak, size[f])
-        size[f] -= drop
-        peak = max(peak, 4 - drop)
+        merged = merge(f, g) if f != g else None
+        steps.append((f, merged, (d ** fac[: p - 1].count(f), d * d, -1)))
+        peak = max(peak, 4 - drop)  # the operator: (rows, d*d), rows = d**(2 - drop)
         return f
 
     for kind, p, _ in slices:
         if kind == CAP:
-            fac[p - 1 : p - 1] = [len(size)] * 2
-            size.append(2)
+            fac[p - 1 : p - 1] = [len(cols)] * 2
+            cols.append(())
             peak = max(peak, 2)
         elif kind == CUP:
-            join(p, 2)
+            step(p, 2)
             del fac[p - 1 : p + 1]
         elif kind in (BRAID_POS, BRAID_NEG):
-            join(p, 0)
-    for i in range(len(fac) // 2):
-        fac[i : i + 2] = [join(i + 1, 1)]
-    return peak
+            step(p, 0)
+    for i in range(len(fac) // 2):  # output restriction: strings 2i+1, 2i+2 become output leg i+1
+        fac[i : i + 2] = [step(i + 1, 1)]
+    live = [f for f, c in enumerate(cols) if c is not None]
+    steps += [(live[0], merge(live[0], g), None) for g in live[1:]]
+    c = cols[live[0]] if live else ()
+    order = (0,) + tuple(1 + c.index(j) for j in range(len(c))) if list(c) != sorted(c) else None
+    bent = any(kind in (CAP, CUP) for kind, _, _ in slices)  # else every strand is straight: no excess turns
+    excess = turn_excess(_shape_diagram(shape)) if bent else 0
+    return _Plan(len(cols) - top // 2, tuple(steps), order, excess, peak)
+
+
+def _run(facs: list, step: tuple, mat: np.ndarray | None) -> None:
+    """One step of a plan on the factor arrays ``facs``, with its operator ``mat``."""
+    f, merge, view = step
+    if merge is not None:
+        g, x_shape, y_shape = merge
+        facs[f], facs[g] = facs[f].reshape(x_shape) * facs[g].reshape(y_shape), None
+    if view is not None:
+        facs[f] = np.matmul(mat, facs[f].reshape(view))
 
 
 def evaluate_dense(diag: Diagram) -> DiagramValue:
     """Slice-by-slice dense value, restricted to the qudit basis.
 
-    The input pairs start as factors, so the column space of each factor
-    is only that of the input pairs it holds.
+    The factor steps come from the cached plan of the diagram's shape; the
+    charges only move the pending frame, which each step's operator absorbs.
     """
     d, n_in, n_out = diag.d, diag.n_in, diag.n_out
-    dd = d * d
-    facs: list = [(_input_pair(d), (j,)) for j in range(n_in)]  # (array, column digits), or None once merged
-    fac = [i // 2 for i in range(diag.top)]  # per string: the factor that holds it
+    plan = _plan(_shape(diag))
+    facs: list = [_input_pair(d)] * n_in + [_cap_pair(d)] * plan.caps
+    steps = iter(plan.steps)
     a, b, e = [0] * diag.top, [0] * diag.top, 0  # the pending frame
-    bent = False  # the diagram has a cap or a cup
     for s in diag.slices:
         p = s.pos
         if s.kind == CHARGE:
@@ -348,30 +355,20 @@ def evaluate_dense(diag: Diagram) -> DiagramValue:
             ks = [k for _, k in s.items]
             e -= sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks)))
         elif s.kind == CAP:
-            fac[p - 1 : p - 1] = [len(facs)] * 2
-            facs.append((_cap_pair(d), ()))
-            a[p - 1 : p - 1] = [0, 0]
-            b[p - 1 : p - 1] = [0, 0]
-            bent = True
+            a[p - 1 : p - 1], b[p - 1 : p - 1] = [0, 0], [0, 0]
         elif s.kind == CUP:
-            _apply(facs, fac, _absorb(_cup_row(d), a, b, p, d), p, d)
-            del fac[p - 1 : p + 1], a[p - 1 : p + 1], b[p - 1 : p + 1]
-            bent = True
+            _run(facs, next(steps), _absorb(_cup_row(d), a, b, p, d))
+            del a[p - 1 : p + 1], b[p - 1 : p + 1]
         elif s.kind in (BRAID_POS, BRAID_NEG):
-            _apply(facs, fac, _absorb(_braid_gate(d, s.kind == BRAID_POS), a, b, p, d), p, d)
+            _run(facs, next(steps), _absorb(_braid_gate(d, s.kind == BRAID_POS), a, b, p, d))
     for i in range(n_out):  # output restriction, one string pair at a time
-        fac[i : i + 2] = [_apply(facs, fac, _absorb(_pair_adjoint(d), a, b, 2 * i + 1, d), i + 1, d)]
-    live = [f for f, x in enumerate(facs) if x is not None]
-    for g in live[1:]:
-        _merge(facs, fac, live[0], g, d)
-    tensor, cols = facs[live[0]] if live else (None, ())
-    if n_in > 1 and list(cols) != sorted(cols):
-        order = (0,) + tuple(1 + cols.index(j) for j in range(n_in))
-        tensor = tensor.reshape((d**n_out,) + (d,) * n_in).transpose(order)
-    scale = 1.0
-    if bent:  # without caps and cups every strand is straight: no excess turns
-        scale = float(d) ** (_turn_excess(_shape(diag)) / 4)
-    scale *= diag.scale.to_complex() * _zeta_powers(d)[e % dd]
+        _run(facs, next(steps), _absorb(_pair_adjoint(d), a, b, 2 * i + 1, d))
+    for step in steps:  # the final merges
+        _run(facs, step, None)
+    tensor = next((x for x in facs if x is not None), None)  # all merged into one, if any
+    if plan.order:
+        tensor = tensor.reshape((d**n_out,) + (d,) * n_in).transpose(plan.order)
+    scale = float(d) ** (plan.excess / 4) * (diag.scale.to_complex() * _zeta_powers(d)[e % (d * d)])
     if n_out > 1:  # the order phase of a single label is 1
         scale = (scale * _order_phases(d, n_out))[:, np.newaxis]
     mat = np.full((1, 1), scale) if tensor is None else tensor.reshape(d**n_out, d**n_in) * scale

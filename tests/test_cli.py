@@ -132,17 +132,15 @@ def test_eval_dense_estimate_bounds_every_array(monkeypatch, d):
              Diagram(d, 0, (Generator(CAP, 1), Generator(CHARGE, 2, 1)))]  # a 3-axis adjoint
     for diag in small + [random_diagram(d, rng, max_strings=8, max_slices=10) for _ in range(60)]:
         bound, cells = _eval_bytes(diag, "dense"), []
-        for name in ("_merge", "_apply"):
-            fn = getattr(dense, name)
+        run = dense._run
 
-            def spy(facs, fac, *args, fn=fn, name=name):
-                f = fn(facs, fac, *args)
-                cells.append(max(x[0].size for x in facs if x is not None))
-                if name == "_apply":  # the absorbed operator
-                    cells.append(args[0].size)
-                return f
+        def spy(facs, step, mat):
+            run(facs, step, mat)
+            cells.append(max(x.size for x in facs if x is not None))
+            if mat is not None:  # the absorbed operator
+                cells.append(mat.size)
 
-            monkeypatch.setattr(dense, name, spy)
+        monkeypatch.setattr(dense, "_run", spy)
         cells.append(evaluate_dense(diag).array.size)
         monkeypatch.undo()
         assert 2 * 16 * max(cells) <= bound, diag
@@ -179,6 +177,25 @@ MALFORMED = {
     "mct list document": ("mct", "[1]"),
     "mct operator n list": ("mct", '{"d": 2, "n": 1, "parties": [[%s]]}' % IDENTITY.replace('"n": 1', '"n": [1]')),
     "mct input list": ("mct", '{"d": 2, "n": 1, "parties": [[%s]], "input": [1]}' % IDENTITY),
+    "compress re object": ("compress", '{"d": 2, "n": 1, "re": {}, "im": [0, 0, 0, 0]}'),
+    "compress re null entry": ("compress", '{"d": 2, "n": 1, "re": [1, null, 0, 1], "im": [0, 0, 0, 0]}'),
+    "compress re strings": ("compress", '{"d": 2, "n": 1, "re": ["1", "0", "0", "1"], "im": [0, 0, 0, 0]}'),
+    "compress re booleans": ("compress", '{"d": 2, "n": 1, "re": [true, false, false, true], "im": [0, 0, 0, 0]}'),
+    "compress re nested": ("compress", '{"d": 2, "n": 1, "re": [[1, 0], [0, 1]], "im": [0, 0, 0, 0]}'),
+    "compress im infinite": ("compress", '{"d": 2, "n": 1, "re": [1, 0, 0, 1], "im": [1e400, 0, 0, 0]}'),
+    "compress im huge integer": ("compress", '{"d": 2, "n": 1, "re": [1, 0, 0, 1], "im": [1%s, 0, 0, 0]}'
+                                 % ("0" * 400)),
+    "mct block re object": ("mct", '{"d": 2, "n": 1, "parties": [[%s, %s]]}'
+                            % (IDENTITY, IDENTITY.replace("[1, 0, 0, 1]", "{}"))),
+    "mct block re null entry": ("mct", '{"d": 2, "n": 1, "parties": [[%s, %s]]}'
+                                % (IDENTITY, IDENTITY.replace("[1, 0, 0, 1]", "[1, null, 0, 1]"))),
+    "mct block re booleans": ("mct", '{"d": 2, "n": 1, "parties": [[%s, %s]]}'
+                              % (IDENTITY, IDENTITY.replace("[1, 0, 0, 1]", "[true, false, false, true]"))),
+    "mct input re strings": ("mct", '{"d": 2, "n": 1, "parties": [[%s, %s]], "input": {"d": 2, "n": 2, '
+                             '"re": ["1", "0", "0", "0"], "im": [0, 0, 0, 0]}}' % (IDENTITY, IDENTITY)),
+    "mct input re object": ("mct", '{"d": 2, "n": 1, "parties": [[%s, %s]], "input": '
+                            '{"d": 2, "n": 2, "re": {}, "im": [0, 0, 0, 0]}}' % (IDENTITY, IDENTITY)),
+    "mct input text": ("mct", '{"d": 2, "n": 1, "parties": [[%s, %s]], "input": "{}"}' % (IDENTITY, IDENTITY)),
 }
 
 
@@ -193,6 +210,24 @@ def test_malformed_numbers_are_invalid_input(capsys, tmp_path, command, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, data", [("eval", b'\xff\xfe{"d": 2, "top": 2}'), ("eval", NESTED.encode()),
+                                           ("compress", NESTED.encode()), ("mct", NESTED.encode())],
+                         ids=["eval not UTF-8", "eval nested", "compress nested", "mct nested"])
+def test_unreadable_input_is_invalid(capsys, tmp_path, command, data):
+    """Bytes that are not UTF-8, or JSON nested too deeply to parse: exit 2, one error line."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    argv = {"eval": ["eval", str(path)], "compress": ["compress", str(path), "--j", "1"],
+            "mct": ["mct", "--d", "2", "--n", "1", "--blocks", str(path)]}[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_eval_readme_example(capsys, tmp_path):

@@ -335,16 +335,14 @@ PENDING_CASES = {
 
 @pytest.mark.parametrize("d", range(2, 9))
 @pytest.mark.parametrize("top, slices, merges", PENDING_CASES.values(), ids=PENDING_CASES)
-def test_pending_pair_events_agree_entrywise(monkeypatch, top, slices, merges, d):
+def test_pending_pair_events_agree_entrywise(top, slices, merges, d):
     """Each case makes its own number of factor merges, and dense = symbolic entrywise."""
     from paradiag.diagrams import dense
+    from paradiag.diagrams.ir import _shape
 
-    seen = []
-    merge = dense._merge
-    monkeypatch.setattr(dense, "_merge", lambda *args: seen.append(1) or merge(*args))
     diag = Diagram(d, top, tuple(Generator(*s) for s in slices))
     got = evaluate_dense(diag).array
-    assert len(seen) == merges
+    assert sum(merge is not None for _, merge, _ in dense._plan(_shape(diag)).steps) == merges
     want = evaluate_symbolic(diag).array
     assert np.max(np.abs(want)) > 0.1  # a zero value would check nothing
     assert np.max(np.abs(got - want)) <= 1e-9
@@ -435,7 +433,7 @@ def test_backends_agree_entrywise(d, seed):
 def _clear_shape_caches():
     from paradiag.diagrams import dense, symbolic
 
-    for cache in (symbolic._compile, symbolic._label_forms, dense._turn_excess):
+    for cache in (symbolic._compile, symbolic._label_forms, dense._plan):
         cache.cache_clear()
 
 

@@ -261,7 +261,8 @@ def cmd_mct(args: argparse.Namespace) -> int:
         trials = [(parties, input_state, args.seed)]
     else:
         data = n + 1
-        # one sampling seed per trial, so sample-mode trials draw independently
+        # one sampling seed per trial, so sample-mode trials draw independently;
+        # lazy, so that rng gives each trial's parties, then its input, in turn
         trials = (([[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)], None,
                    int(child.generate_state(1)[0]))
                   for child in np.random.SeedSequence(args.seed).spawn(args.random))

@@ -135,10 +135,14 @@ def test_eval_dense_estimate_bounds_every_array(monkeypatch, d):
         run = dense._run
 
         def spy(facs, step, mat):
-            run(facs, step, mat)
-            cells.append(max(x.size for x in facs if x is not None))
+            f, merge, _ = step
+            # the factor the step acts on, merged with g first if the step merges:
+            # legs are disjoint, so the broadcast product holds the two sizes' product
+            cells.append(facs[f].size * (facs[merge[0]].size if merge else 1))
             if mat is not None:  # the absorbed operator
                 cells.append(mat.size)
+            run(facs, step, mat)
+            cells.append(max(x.size for x in facs if x is not None))
 
         monkeypatch.setattr(dense, "_run", spy)
         cells.append(evaluate_dense(diag).array.size)
@@ -452,6 +456,27 @@ def test_mct_refuses_oversized_network(capsys, tmp_path, monkeypatch, source):
 
 def test_mct_requires_block_source(capsys):
     assert run_cli(capsys, "mct", "--d", "2", "--n", "1")[0] == 2
+
+
+def test_mct_random_draws_parties_then_input_per_trial(capsys, monkeypatch):
+    """--random draws from the --seed generator trial by trial: the parties, then the input."""
+    from paradiag import cli
+
+    seen, run = [], cli.run_mct_controlled
+
+    def spy(d, n, parties, input_state, **kw):
+        seen.append((parties, input_state, kw["seed"]))
+        return run(d, n, parties, input_state, **kw)
+
+    monkeypatch.setattr(cli, "run_mct_controlled", spy)
+    assert run_cli(capsys, "mct", "--d", "2", "--n", "2", "--random", "2", "--seed", "11")[0] == 0
+    rng = np.random.default_rng(11)
+    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(11).spawn(2)]
+    for (parties, input_state, seed), want_seed in zip(seen, seeds, strict=True):
+        for got in [b for blocks in parties for b in blocks]:
+            assert np.array_equal(got.mat, random_unitary(2, 1, rng).mat)
+        assert np.array_equal(input_state.amps, cli._random_input(2, 3, rng).amps)
+        assert seed == want_seed
 
 
 def test_reports_byte_identical_for_same_seed(capsys, tmp_path):

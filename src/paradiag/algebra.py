@@ -271,7 +271,8 @@ def _json_dims(source: str | dict, what: str) -> tuple[dict, int, int]:
     """The JSON object ``source`` (text, or already parsed) and its integer fields d and n.
 
     A document that is not an object, or a d or n that is not a JSON
-    integer (a float, a boolean, a list), is a ShapeError.
+    integer (a float, a boolean, a list), or a d below 2 or an n below 0,
+    is a ShapeError.
     """
     doc = json.loads(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
@@ -279,6 +280,8 @@ def _json_dims(source: str | dict, what: str) -> tuple[dict, int, int]:
     d, n = doc["d"], doc["n"]
     if type(d) is not int or type(n) is not int:
         raise ShapeError(f"{what} needs integer 'd' and 'n', got {d!r} and {n!r}")
+    if d < 2 or n < 0:
+        raise ShapeError(f"{what} needs 'd' >= 2 and 'n' >= 0, got d={d} and n={n}")
     return doc, d, n
 
 

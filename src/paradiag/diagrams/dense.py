@@ -26,12 +26,16 @@ exactly, not merely up to scale.
 Charges never touch an array.  A charge c_s(k) is a generalized Pauli, so
 the evaluator carries a pending frame beside its factors (below): zeta**e
 times X**a_i Z**b_i on each string i, with the true value the frame
-applied to the stored factors.  A charge updates the frame with integers alone: its
-tail Z**-k passes each X**a_i before s at the cost q**(-k*a_i)
-(Z X = q X Z), so e -= 2*k*a_i and b_i -= k, and then a_s += k.  A
-multicharge applies its items from the right and adds its twist to e, and
-zeta**e joins the final scale, so charge phases stay exact integers until
-that one multiply.
+applied to the stored factors.  Its tail Z**-k passes each X**a_i before s
+at the cost q**(-k*a_i) (Z X = q X Z), so a charge sets e -= 2*k*a_i and
+b_i -= k, and then a_s += k.  A multicharge applies its items from the
+right and adds its twist -sum_{i<j} k_i k_j to e.  Which strings a charge
+touches is fixed by the shape, so the frame is compiled: each a_i and b_i
+is an integer linear form in the charges, and e a quadratic form.  The
+charges are read mod d*d (``ir._params``): a frame exponent is used mod
+d, and the zeta exponent moves by a multiple of 2d, which the order of
+zeta divides.  zeta**e joins the final scale, so charge phases stay exact
+integers until that one multiply.
 
 Caps, input pairs and everything built from them form a tensor network:
 a list of factors joined by contractions.  A cap is the shared maximally
@@ -45,21 +49,30 @@ pending frame covers every string alike.
 
 Everything but the charge values is fixed by the charge-free shape, so
 one walk of the slices per shape records a cached plan: for each cup,
-braid and output qudit, the factor it acts on, the merge it needs first
-and the reshape of its matrix product.  A merge multiplies two factors
-into one in a single broadcast product: each run of one factor's legs is
-one axis, of size 1 in the other, so the merged legs stay in string order
-and nothing is transposed; the column digits are the first factor's, then
-the second's.  A step's small cached operator first absorbs the frame of
-its two adjacent strings (right-multiplying by a Pauli pair is a column
-gather and a phase, looked up per (d, a1, b1, a2, b2)), then acts by one
-matrix product on a free reshape of the factor's C-contiguous array into
-(legs before, the two strings, everything after).  A cup drops both
+braid and output qudit, the factor it acts on, the merge it needs first,
+the reshape of its matrix product and the forms of the frame it absorbs,
+and the form of e.  A merge multiplies two factors into one in a single
+broadcast product: each run of one factor's legs is one axis, of size 1
+in the other, so the merged legs stay in string order and nothing is
+transposed; the column digits are the first factor's, then the second's.
+A step's small cached operator first absorbs the frame of its two
+adjacent strings (right-multiplying by a Pauli pair is a column gather
+and a phase, rows a1*d + a2 and b1*d + b2 of two per-d tables), then acts
+by one matrix product on a free reshape of the factor's C-contiguous array
+into (legs before, the two strings, everything after).  A cup drops both
 strings, which can leave a factor with no legs (a closed loop: a scalar,
 or a column factor); an output qudit turns its two strings into one output
 leg.  At the end the live factors merge in order of creation.  The plan
 also holds the turn excess and the most axes of any factor or operator,
 which bounds the memory of an evaluation.
+
+The evaluator takes a batch of diagrams that share one shape, one row of
+charges each, and ``evaluate_dense`` is a batch of one.  One integer
+matrix product maps the rows to every step's frame keys and to e; every
+factor array carries the batch on its first axis (of size 1 until an
+operator that depends on the charges meets it), and a step stacks each
+diagram's absorbed operator into one (batch, rows, d*d) array for one
+stacked matrix product.
 
 A braid is the charge sum sum_k c_p(k) c_(p+1)(-k) over the principal
 sqrt(omega*d), mirrored and over the conjugate for the negative braid.  The
@@ -78,7 +91,7 @@ conjugate for the output labels are applied once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +108,7 @@ from .ir import (
     Diagram,
     DiagramError,
     _SHAPE_CACHE_SIZE,
+    _params,
     _shape,
     _shape_diagram,
     turn_excess,
@@ -204,66 +218,64 @@ def _order_phases(d: int, n: int) -> np.ndarray:
     return _frozen(_zeta_powers(d)[(_digit_sums(d, n) ** 2 - _digit_sums(d, n, 2)) % (d * d)])
 
 
-def _charge(a: list[int], b: list[int], s: int, k: int) -> int:
-    """Push c_s(k) onto the frame X**a_i Z**b_i; return the zeta exponent it adds."""
-    for i in range(s - 1):
-        b[i] -= k
-    a[s - 1] += k
-    return -2 * k * sum(a[: s - 1])
-
-
-@lru_cache(maxsize=1024)  # all d**4 keys up to d = 5; the relation suite uses 364
-def _pauli_pair(d: int, a1: int, b1: int, a2: int, b2: int) -> tuple[np.ndarray, np.ndarray]:
-    """X**a1 Z**b1 (x) X**a2 Z**b2 as a column gather ``idx`` and phase ``ph``.
+@lru_cache(maxsize=None)
+def _pauli_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Pauli pair X**a1 Z**b1 (x) X**a2 Z**b2 as a column gather and a phase.
 
     Column m1*d + m2 of the pair has its one entry, q**(b1*m1 + b2*m2), in
-    row (m1 + a1, m2 + a2) mod d, so ``mat @ pair`` is ``mat[..., idx] * ph``.
+    row (m1 + a1, m2 + a2) mod d, so ``mat @ pair`` is ``mat[..., idx] * ph``
+    with ``idx`` row a1*d + a2 of the first table and ``ph`` row b1*d + b2
+    of the second.
     """
     m1, m2 = np.divmod(np.arange(d * d), d)
-    idx = (m1 + a1) % d * d + (m2 + a2) % d
-    return _frozen(idx), _frozen(_zeta_powers(d)[2 * (b1 * m1 + b2 * m2) % (d * d)])
-
-
-def _absorb(mat: np.ndarray, a: list[int], b: list[int], p: int, d: int) -> np.ndarray:
-    """``mat`` times the frame of strings p, p+1, whose entries are reset to identity."""
-    key = (a[p - 1] % d, b[p - 1] % d, a[p] % d, b[p] % d)
-    a[p - 1] = b[p - 1] = a[p] = b[p] = 0
-    if not any(key):
-        return mat
-    idx, ph = _pauli_pair(d, *key)
-    return mat[..., idx] * ph
+    x1, x2 = m1[:, np.newaxis], m2[:, np.newaxis]  # the digits of the row key
+    idx = (m1 + x1) % d * d + (m2 + x2) % d
+    return _frozen(idx), _frozen(_zeta_powers(d)[2 * (x1 * m1 + x2 * m2) % (d * d)])
 
 
 @lru_cache(maxsize=None)
 def _braid_gate(d: int, positive: bool) -> np.ndarray:
     """The braid on strings p, p+1 as a d*d x d*d gate, from its charge sum.
 
-    Each term is a two-string frame; the tails it would put on strings
-    before p cancel (see the module docstring).
+    Term k of the positive braid, c_p(k) c_(p+1)(-k), is the two-string
+    frame zeta**(2*k*k) X**k Z**k (x) X**-k; term k of the negative one,
+    c_(p+1)(k) c_p(-k), is X**-k Z**-k (x) X**k.  The tails either term
+    would put on strings before p cancel (see the module docstring).
     """
-    first, second = (1, 2) if positive else (2, 1)
+    idx, ph = _pauli_tables(d)
     eye = np.eye(d * d, dtype=complex)
     gate = np.zeros((d * d, d * d), dtype=complex)
     for k in range(d):
-        a, b = [0, 0], [0, 0]
-        e = _charge(a, b, first, k) + _charge(a, b, second, -k)
-        gate += _absorb(eye, a, b, 1, d) * _zeta_powers(d)[e % (d * d)]
+        x = k if positive else -k % d  # X**x Z**x on string p, X**-x on string p+1
+        e = 2 * k * k if positive else 0
+        gate += eye[:, idx[x * d + -x % d]] * ph[x * d] * _zeta_powers(d)[e % (d * d)]
     norm = 1.0 / sqrt_omega_d(d)
     return _frozen(gate * (norm if positive else np.conj(norm)))
 
 
 class _Plan(NamedTuple):
-    """The factor steps of one charge-free shape, in evaluation order.
+    """The factor steps and the compiled frame of one charge-free shape.
 
-    A step ``(f, merge, view)`` first multiplies factor g into factor f if
-    ``merge`` is ``(g, f's broadcast shape, g's)``, then its operator into
-    f reshaped to ``view``, unless that is None (the final merges, which
-    leave one factor).  ``order`` puts the final columns in qudit order;
-    ``peak`` is the most axes of any factor or operator the steps build.
+    A step ``(f, merge, act)`` first multiplies factor g into factor f if
+    ``merge`` is ``(g, f's broadcast shape, g's)``; then, unless ``act``
+    is None (the final merges, which leave one factor), it multiplies f,
+    reshaped to ``view``, by its operator, where ``act`` is ``(view,
+    operator, key)`` and ``operator`` returns the cached operator (a plan
+    builds no array, so the memory estimate can read it for any d).
+    ``key`` is None when no charge reaches the step's two strings, else
+    the step's column in the frame keys.
+
+    ``frame`` maps a diagram's charges u, mod d*d in ``ir._params``
+    order, to ``u @ frame``: first w, with the zeta exponent u @ w, then
+    the frame exponents a1, b1, a2, b2 of the keyed steps, one block each,
+    read mod d.
+    ``order`` puts the final columns in qudit order; ``peak`` is the most
+    axes of any factor or operator the steps build.
     """
 
     caps: int
     steps: tuple
+    frame: np.ndarray
     order: tuple | None
     excess: int
     peak: int
@@ -271,12 +283,26 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _plan(shape: tuple) -> _Plan:
-    """Walk the slices of a charge-free shape once, recording each factor step."""
+    """Walk the slices of a charge-free shape once, recording each factor step and the frame."""
     d, top, slices = shape
     cols: list = [(j,) for j in range(top // 2)]  # per factor: its column digits, or None once merged
     fac = [i // 2 for i in range(top)]  # per string: the factor that holds it
     steps: list = []
     peak = 3 if top else 0
+    n = sum(len(ps) if kind == MULTICHARGE else kind == CHARGE for kind, _, ps in slices)
+    unit, zero = np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    frame = [(zero, zero)] * top  # per string: the forms of its X and Z exponents in the charges
+    keys: list = []  # per keyed step: the forms of a1, b1, a2, b2
+    quad = np.zeros((n, n), dtype=np.int64)  # the zeta exponent u @ quad @ u
+    param = 0
+
+    def charge(s: int) -> None:
+        """Push c_s(r) for the next parameter r: tails Z**-r before s, then X**r on s."""
+        nonlocal param
+        quad[param] -= 2 * sum((a for a, _ in frame[: s - 1]), zero)  # Z**-r passes each X**a_i
+        frame[: s - 1] = [(a, b - unit[param]) for a, b in frame[: s - 1]]
+        frame[s - 1] = (frame[s - 1][0] + unit[param], frame[s - 1][1])
+        param += 1
 
     def merge(f: int, g: int) -> tuple:
         """Record g multiplied into f: each run of one factor's legs is one axis, size 1 in the other."""
@@ -294,84 +320,117 @@ def _plan(shape: tuple) -> _Plan:
         peak = max(peak, fac.count(f) + len(cols[f]))
         return g, tuple(x_shape) + (-1, 1), tuple(y_shape) + (1, -1)
 
-    def step(p: int, drop: int) -> int:
-        """An operator on strings p, p+1 that leaves ``drop`` fewer legs; returns its factor."""
+    def step(p: int, drop: int, operator) -> int:
+        """``operator()`` on strings p, p+1, leaving ``drop`` fewer legs; returns its factor."""
         nonlocal peak
         f, g = fac[p - 1], fac[p]
         merged = merge(f, g) if f != g else None
-        steps.append((f, merged, (d ** fac[: p - 1].count(f), d * d, -1)))
+        (a1, b1), (a2, b2) = frame[p - 1 : p + 1]
+        frame[p - 1 : p + 1] = [(zero, zero)] * 2  # the operator absorbs the frame of both strings
+        key = None
+        if any(form.any() for form in (a1, a2, b1, b2)):
+            key = len(keys)
+            keys.append((a1, b1, a2, b2))
+        steps.append((f, merged, ((d ** fac[: p - 1].count(f), d * d, -1), operator, key)))
         peak = max(peak, 4 - drop)  # the operator: (rows, d*d), rows = d**(2 - drop)
         return f
 
-    for kind, p, _ in slices:
-        if kind == CAP:
+    for kind, p, ps in slices:
+        if kind == CHARGE:
+            charge(p)
+        elif kind == MULTICHARGE:  # the rightmost charge acts first; the twist -sum_{i<j} k_i k_j
+            first = param
+            for q in reversed(ps):
+                charge(q)
+            quad[first:param, first:param] -= np.triu(np.ones((len(ps),) * 2, np.int64), 1)
+        elif kind == CAP:
             fac[p - 1 : p - 1] = [len(cols)] * 2
+            frame[p - 1 : p - 1] = [(zero, zero)] * 2
             cols.append(())
             peak = max(peak, 2)
         elif kind == CUP:
-            step(p, 2)
-            del fac[p - 1 : p + 1]
+            step(p, 2, partial(_cup_row, d))
+            del fac[p - 1 : p + 1], frame[p - 1 : p + 1]
         elif kind in (BRAID_POS, BRAID_NEG):
-            step(p, 0)
+            step(p, 0, partial(_braid_gate, d, kind == BRAID_POS))
     for i in range(len(fac) // 2):  # output restriction: strings 2i+1, 2i+2 become output leg i+1
-        fac[i : i + 2] = [step(i + 1, 1)]
+        fac[i : i + 2] = [step(i + 1, 1, partial(_pair_adjoint, d))]
+        del frame[i]
     live = [f for f, c in enumerate(cols) if c is not None]
     steps += [(live[0], merge(live[0], g), None) for g in live[1:]]
     c = cols[live[0]] if live else ()
-    order = (0,) + tuple(1 + c.index(j) for j in range(len(c))) if list(c) != sorted(c) else None
+    order = (0, 1) + tuple(2 + c.index(j) for j in range(len(c))) if list(c) != sorted(c) else None
     bent = any(kind in (CAP, CUP) for kind, _, _ in slices)  # else every strand is straight: no excess turns
     excess = turn_excess(_shape_diagram(shape)) if bent else 0
-    return _Plan(len(cols) - top // 2, tuple(steps), order, excess, peak)
+    forms = np.array(keys, dtype=np.int64).reshape(len(keys), 4, n)  # (step, a1 b1 a2 b2, charge)
+    frame_map = _frozen(np.concatenate((quad, forms.transpose(2, 1, 0).reshape(n, 4 * len(keys))), axis=1))
+    return _Plan(len(cols) - top // 2, tuple(steps), frame_map, order, excess, peak)
 
 
 def _run(facs: list, step: tuple, mat: np.ndarray | None) -> None:
-    """One step of a plan on the factor arrays ``facs``, with its operator ``mat``."""
-    f, merge, view = step
+    """One step of a plan on the batched factor arrays ``facs``, with its operator ``mat``."""
+    f, merge, act = step
     if merge is not None:
         g, x_shape, y_shape = merge
-        facs[f], facs[g] = facs[f].reshape(x_shape) * facs[g].reshape(y_shape), None
-    if view is not None:
-        facs[f] = np.matmul(mat, facs[f].reshape(view))
+        x, y = facs[f], facs[g]
+        facs[f], facs[g] = x.reshape((len(x),) + x_shape) * y.reshape((len(y),) + y_shape), None
+    if act is not None:
+        facs[f] = np.matmul(mat, facs[f].reshape((len(facs[f]),) + act[0]))
+
+
+def _frame(plan: _Plan, diags: list[Diagram]) -> tuple[np.ndarray, np.ndarray]:
+    """Each diagram's zeta exponent mod d*d, and its frame keys.
+
+    The keys are each keyed step's gather row a1*d + a2, then each keyed
+    step's phase row b1*d + b2, one column per step.
+    """
+    d = diags[0].d
+    u = np.array([_params(diag) for diag in diags], dtype=np.int64)  # (batch, charges), also with no charges
+    mapped = u @ plan.frame
+    keys = mapped[:, u.shape[1] :] % d
+    half = keys.shape[1] // 2
+    return (mapped[:, : u.shape[1]] * u).sum(axis=1) % (d * d), keys[:, :half] * d + keys[:, half:]
+
+
+def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
+    """Dense values of a batch of diagrams that share one charge-free shape.
+
+    Every factor array carries the batch on its first axis, of size 1
+    until an operator that depends on the charges meets it.
+    """
+    d, n_in, n_out = shape[0], shape[1] // 2, diags[0].bottom // 2
+    plan = _plan(shape)
+    e, keys = _frame(plan, diags)
+    keyed = keys.shape[1] // 2
+    idx, ph = _pauli_tables(d)
+    facs: list = [_input_pair(d)[np.newaxis]] * n_in + [_cap_pair(d)[np.newaxis]] * plan.caps
+    for step in plan.steps:
+        mat = None
+        if step[2] is not None:
+            _, operator, key = step[2]
+            mat = operator()
+            if key is not None:  # the operator times each diagram's Pauli pair: (batch, 1, rows, d*d)
+                mat = mat[:, idx[keys[:, key]]]
+                mat *= ph[keys[:, keyed + key]]
+                mat = mat.transpose(1, 0, 2)[:, np.newaxis]
+        _run(facs, step, mat)
+    tensor = next((x for x in facs if x is not None), None)  # all merged into one, if any
+    root = float(d) ** (plan.excess / 4)
+    scale = np.array([root * (diag.scale.to_complex() * z) for diag, z in zip(diags, _zeta_powers(d)[e])])
+    scale = scale[:, np.newaxis, np.newaxis]  # per diagram, output label and column
+    if n_out > 1:  # the order phase of a single label is 1
+        scale = scale * _order_phases(d, n_out)[:, np.newaxis]
+    if tensor is None:
+        mat = scale
+    else:
+        if plan.order:
+            tensor = tensor.reshape((len(tensor), d**n_out) + (d,) * n_in).transpose(plan.order)
+        mat = tensor.reshape(len(tensor), d**n_out, d**n_in) * scale
+    if n_in > 1:
+        mat *= _order_phases(d, n_in).conj()
+    return [DiagramValue(d, n_in, n_out, each) for each in mat]
 
 
 def evaluate_dense(diag: Diagram) -> DiagramValue:
-    """Slice-by-slice dense value, restricted to the qudit basis.
-
-    The factor steps come from the cached plan of the diagram's shape; the
-    charges only move the pending frame, which each step's operator absorbs.
-    """
-    d, n_in, n_out = diag.d, diag.n_in, diag.n_out
-    plan = _plan(_shape(diag))
-    facs: list = [_input_pair(d)] * n_in + [_cap_pair(d)] * plan.caps
-    steps = iter(plan.steps)
-    a, b, e = [0] * diag.top, [0] * diag.top, 0  # the pending frame
-    for s in diag.slices:
-        p = s.pos
-        if s.kind == CHARGE:
-            e += _charge(a, b, p, s.k % d)
-        elif s.kind == MULTICHARGE:
-            for q, k in reversed(s.items):  # rightmost charge acts first
-                e += _charge(a, b, q, k % d)
-            ks = [k for _, k in s.items]
-            e -= sum(ks[i] * ks[j] for i in range(len(ks)) for j in range(i + 1, len(ks)))
-        elif s.kind == CAP:
-            a[p - 1 : p - 1], b[p - 1 : p - 1] = [0, 0], [0, 0]
-        elif s.kind == CUP:
-            _run(facs, next(steps), _absorb(_cup_row(d), a, b, p, d))
-            del a[p - 1 : p + 1], b[p - 1 : p + 1]
-        elif s.kind in (BRAID_POS, BRAID_NEG):
-            _run(facs, next(steps), _absorb(_braid_gate(d, s.kind == BRAID_POS), a, b, p, d))
-    for i in range(n_out):  # output restriction, one string pair at a time
-        _run(facs, next(steps), _absorb(_pair_adjoint(d), a, b, 2 * i + 1, d))
-    for step in steps:  # the final merges
-        _run(facs, step, None)
-    tensor = next((x for x in facs if x is not None), None)  # all merged into one, if any
-    if plan.order:
-        tensor = tensor.reshape((d**n_out,) + (d,) * n_in).transpose(plan.order)
-    scale = float(d) ** (plan.excess / 4) * (diag.scale.to_complex() * _zeta_powers(d)[e % (d * d)])
-    if n_out > 1:  # the order phase of a single label is 1
-        scale = (scale * _order_phases(d, n_out))[:, np.newaxis]
-    mat = np.full((1, 1), scale) if tensor is None else tensor.reshape(d**n_out, d**n_in) * scale
-    if n_in > 1:
-        mat *= _order_phases(d, n_in).conj()
-    return DiagramValue(d, n_in, n_out, mat)
+    """Slice-by-slice dense value, restricted to the qudit basis: a batch of one."""
+    return _evaluate_shape(_shape(diag), [diag])[0]

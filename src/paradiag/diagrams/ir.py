@@ -182,7 +182,26 @@ _SHAPE_CACHE_SIZE = 512  # per shape-keyed cache; the relation suite at d = 2..8
 
 def _shape(diag: Diagram) -> tuple:
     """The charge-free shape ``(d, top, ((kind, pos, item positions), ...))``."""
-    return (diag.d, diag.top, tuple((s.kind, s.pos, tuple(p for p, _ in s.items)) for s in diag.slices))
+    return (diag.d, diag.top, tuple((s.kind, s.pos, tuple(p for p, _ in s.items) if s.items else ())
+                                    for s in diag.slices))
+
+
+def _params(diag: Diagram) -> tuple[int, ...]:
+    """The diagram's charge values in shape order, mod d*d.
+
+    Shape order is slice order, a multicharge's items rightmost first.
+    Reducing mod d*d moves no zeta exponent mod d*d and no loop total or
+    frame exponent mod d, so integer forms stay small whatever charges the
+    diagram carries.
+    """
+    dd = diag.d * diag.d
+    values = []
+    for s in diag.slices:
+        if s.kind == MULTICHARGE:
+            values += [k % dd for _, k in reversed(s.items)]
+        elif s.kind == CHARGE:
+            values.append(s.k % dd)
+    return tuple(values)
 
 
 def _shape_diagram(shape: tuple) -> Diagram:

@@ -4,6 +4,12 @@ Each relation builds its two sides as weighted diagram sums (the weight is
 the stated exact scalar: q**(k*l), zeta**(+-k*l), zeta**(+-k*k), sqrt(d), 0
 or the braid normalizer), evaluates both sides with the dense and the
 symbolic backend, and reports the maximum entrywise deviation.
+
+The cases are evaluated in runs of consecutive cases: each distinct
+diagram (by identity) of a run is evaluated once per backend, in one batch
+per charge-free shape, and a run's values are reduced to its cases'
+deviations and dropped before the next run, so at most
+``_CHUNK_ENTRIES`` matrix entries are held at once.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ import numpy as np
 
 from ..algebra import max_state, pauli
 from ..scalars import sqrt_omega_d
+from . import dense, symbolic
 from .builtins import builtin
-from .dense import evaluate_dense
 from .ir import (
     BRAID_NEG,
     BRAID_POS,
@@ -27,10 +33,12 @@ from .ir import (
     Diagram,
     DiagramScale,
     Generator,
+    _shape,
 )
-from .symbolic import evaluate_symbolic
 
 __all__ = ["RelationCase", "RelationReport", "RELATION_IDS", "check_relation"]
+
+_CHUNK_ENTRIES = 1 << 13  # matrix entries of the distinct diagrams evaluated at once
 
 Weighted = tuple[complex, Diagram]
 Side = Sequence[Weighted] | np.ndarray
@@ -65,15 +73,54 @@ def _gen(kind: str, pos: int = 1, k: int = 0, items=()) -> Generator:
     return Generator(kind, pos=pos, k=k, items=tuple(items))
 
 
-def _eval_side(side: Side, backend: str) -> np.ndarray:
+def _total(side: Side, values: dict[int, np.ndarray]) -> np.ndarray:
+    """The weighted sum of a side, its diagrams' values looked up by identity."""
     if isinstance(side, np.ndarray):
         return side
     total = None
     for weight, diag in side:
-        value = evaluate_dense(diag) if backend == "dense" else evaluate_symbolic(diag)
-        term = weight * value.array
+        term = weight * values[id(diag)]
         total = term if total is None else total + term
     return total
+
+
+def _chunks(cases: list[RelationCase]):
+    """Runs of consecutive cases, each with its distinct diagrams (by identity) batched by shape.
+
+    Cases go in groups, each case joining the group before it when they
+    share a diagram, and a run is whole groups whose diagrams hold at most
+    ``_CHUNK_ENTRIES`` matrix entries (or one group, if it alone holds
+    more).  So a diagram shared by neighbouring cases falls in one run.
+    """
+    groups: list[tuple[list, dict]] = []
+    for case in cases:
+        diags = {id(diag): diag for side in (case.lhs, case.rhs) if not isinstance(side, np.ndarray)
+                 for _, diag in side}
+        if groups and diags.keys() & groups[-1][1].keys():
+            groups[-1][0].append(case)
+            groups[-1][1].update(diags)
+        else:
+            groups.append(([case], diags))
+    run: list = []
+    distinct: dict = {}
+    entries = 0
+    for group, diags in groups:
+        size = sum(diag.d ** ((diag.top + diag.bottom) // 2) for diag in diags.values())  # matrix entries
+        if run and entries + size > _CHUNK_ENTRIES:
+            yield run, _by_shape(distinct)
+            run, distinct, entries = [], {}, 0
+        run += group
+        distinct |= diags
+        entries += size
+    if run:
+        yield run, _by_shape(distinct)
+
+
+def _by_shape(diags: dict) -> dict[tuple, list[Diagram]]:
+    batches: dict[tuple, list[Diagram]] = {}
+    for diag in diags.values():
+        batches.setdefault(_shape(diag), []).append(diag)
+    return batches
 
 
 def _additive_charge(d: int) -> list[RelationCase]:
@@ -219,20 +266,28 @@ _BUILDERS: dict[str, Callable[[int], list[RelationCase]]] = {
 RELATION_IDS = tuple(_BUILDERS)
 
 
+def _deviations(run: list[RelationCase], batches: dict, evaluate) -> list[float]:
+    """Each case's maximum entrywise deviation under one backend's ``evaluate(shape, batch)``."""
+    values = {id(diag): value.array for shape, batch in batches.items()
+              for diag, value in zip(batch, evaluate(shape, batch))}
+    devs = []
+    for case in run:
+        lhs = _total(case.lhs, values)
+        rhs = _total(case.rhs, values)
+        devs.append(float(abs(lhs - rhs).max()) if lhs.size else 0.0)
+    return devs
+
+
 def check_relation(relation_id: str, d: int, tol: float = 1e-9) -> RelationReport:
-    """Evaluate one relation's cases under both backends."""
+    """Evaluate one relation's cases under both backends, a run at a time (``_chunks``)."""
     if relation_id not in _BUILDERS:
         raise KeyError(f"unknown relation {relation_id!r}; known: {', '.join(RELATION_IDS)}")
-    cases = _BUILDERS[relation_id](d)
     reports = []
     worst = 0.0
-    for case in cases:
-        devs = {}
-        for backend in ("dense", "symbolic"):
-            lhs = _eval_side(case.lhs, backend)
-            rhs = _eval_side(case.rhs, backend)
-            devs[backend] = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        dev = max(devs.values())
-        worst = max(worst, dev)
-        reports.append({"case": case.label, "dense_dev": devs["dense"], "symbolic_dev": devs["symbolic"]})
+    for run, batches in _chunks(_BUILDERS[relation_id](d)):
+        dense_devs = _deviations(run, batches, dense._evaluate_shape)
+        symbolic_devs = _deviations(run, batches, symbolic._evaluate_shape)
+        for case, dense_dev, symbolic_dev in zip(run, dense_devs, symbolic_devs):
+            worst = max(worst, max(dense_dev, symbolic_dev))
+            reports.append({"case": case.label, "dense_dev": dense_dev, "symbolic_dev": symbolic_dev})
     return RelationReport(relation_id, d, tuple(reports), worst, worst <= tol)

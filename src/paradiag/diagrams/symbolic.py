@@ -28,11 +28,17 @@ parameter per constant charge), and a single reduction over forms yields
   between its parameters, and
 * one linear form per loop, its total charge, which must vanish mod d.
 
-A call fills the parameters with the diagram's charges mod d*d.  An
-entry's braid term is then exactly sqrt(d)**L * zeta**Q, or 0 when some
-loop is not neutral; all d**(n_in+n_out) entries of one braid term come from
-one numpy evaluation.  The only numeric constant is the braid normalizer
-1/sqrt(omega*d), one factor per braid, common to all terms.
+The evaluator takes a batch of diagrams that share one shape, and
+``evaluate_symbolic`` is a batch of one.  Each diagram fills one row of
+parameters with its charges mod d*d.  An entry's braid term is then
+exactly sqrt(d)**L * zeta**Q, or 0 when some loop is not neutral; all
+d**(n_in+n_out) entries of every diagram of the batch for one braid term
+come from one numpy evaluation, summed over the terms in the same order
+for a batch as for one diagram.  Neutrality compares one mixed-radix key
+per entry (its label residues mod d, one digit per loop, computed once
+per shape) with one key per diagram.  The only numeric constant is the
+braid normalizer 1/sqrt(omega*d), one factor per braid, common to all
+terms.
 
 The reduction works on a token list ordered top to bottom.  Columns (the
 static vertical string segments found by ``ir.trace_strands``) carry a
@@ -64,6 +70,7 @@ from .ir import (
     DiagramError,
     Generator,
     _SHAPE_CACHE_SIZE,
+    _params,
     _shape,
     _shape_diagram,
     trace_strands,
@@ -122,22 +129,6 @@ def _template(
     forms.update({len(slices) + t: (n_out - t, -1) for t in range(n_out)})
     slices += _bra_slices(n_out, [0] * n_out)
     return Diagram(diag.d, 0, tuple(slices)), forms, twist, param, braids
-
-
-def _params(diag: Diagram) -> tuple[int, ...]:
-    """The diagram's charge values in ``_template``'s parameter order, mod d*d.
-
-    Reducing mod d*d moves no zeta exponent mod d*d and no loop total mod
-    d, so the integer forms stay small whatever charges the diagram carries.
-    """
-    dd = diag.d * diag.d
-    values = []
-    for s in diag.slices:
-        if s.kind == MULTICHARGE:
-            values += [k % dd for _, k in reversed(s.items)]
-        elif s.kind == CHARGE:
-            values.append(s.k % dd)
-    return tuple(values)
 
 
 # --- the closed-diagram reduction engine ------------------------------------
@@ -278,13 +269,32 @@ def _label_grid(d: int, n: int) -> np.ndarray:
     return _frozen(np.indices((d,) * n).reshape(n, d**n))
 
 
+@lru_cache(maxsize=None)
+def _radix(d: int, loops: int) -> np.ndarray:
+    """Loop residues mod d to mixed-radix keys: each key holds as many loops as fit in int64."""
+    per = max(1, 62 // d.bit_length())  # d**per < 2**62
+    radix = np.zeros((loops, -(-loops // per)), dtype=np.int64)
+    radix[np.arange(loops), np.arange(loops) // per] = d ** (np.arange(loops) % per)
+    return _frozen(radix)
+
+
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _label_forms(shape: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The label-only parts of a shape's Q and loop forms, over all entries."""
-    quad, _, loops, _ = _compile(shape)
-    labels = _label_grid(shape[0], n)
+def _label_forms(shape: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The label-only parts of a shape's forms over all entries, and the map of the rest.
+
+    Returns Q's label part per entry; the mixed-radix keys of each entry's
+    loop label residues mod d, one row per key; and the map that takes a
+    label-free variable row y to (y @ Q, minus each loop's total, the
+    label coefficients of y @ (Q + Q.T)).  A loop is neutral when its
+    label residue equals minus its total mod d.
+    """
+    quad, both, loops, _ = _compile(shape)
+    d = shape[0]
+    labels = _label_grid(d, n)
     label_quad = np.sum(labels * (quad[1 : n + 1, 1 : n + 1] @ labels), axis=0)
-    return _frozen(label_quad), _frozen(loops[:, 1 : n + 1] @ labels)
+    label_keys = _radix(d, len(loops)).T @ ((loops[:, 1 : n + 1] @ labels) % d)
+    mix = np.concatenate((quad, -loops.T, both[1 : n + 1].T), axis=1)
+    return _frozen(label_quad), _frozen(label_keys), _frozen(mix)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -320,28 +330,44 @@ def _phase_table(d: int, loops: int) -> np.ndarray:
     return _frozen(_zeta_powers(d) * d ** (loops / 2))
 
 
-def evaluate_symbolic(diag: Diagram) -> DiagramValue:
-    """Entrywise symbolic value of a diagram, as a qudit-basis matrix."""
-    d = diag.d
-    n_in, n_out = diag.n_in, diag.n_out
-    n = n_in + n_out
-    numeric = 1.0 + 0j
-    for s in diag.slices:
-        if s.kind in (BRAID_POS, BRAID_NEG):
-            w = 1.0 / sqrt_omega_d(d)
-            numeric *= w if s.kind == BRAID_POS else np.conj(w)
-    numeric *= diag.scale.to_complex() * float(d) ** (-(n_in + n_out) / 4)
+def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
+    """Entrywise symbolic values of a batch of diagrams that share one charge-free shape.
 
-    shape = _shape(diag)
-    quad, both, loops, braids = _compile(shape)
-    label_quad, label_loops = _label_forms(shape, n)
+    Each diagram is one row of the variable vectors y, so every entry of
+    every diagram comes from the same table lookups, summed over the braid
+    terms in the same order.
+    """
+    d, n_in, n_out = shape[0], shape[1] // 2, diags[0].bottom // 2
+    n = n_in + n_out
+    braiding = 1.0 + 0j
+    for kind, _, _ in shape[2]:
+        if kind in (BRAID_POS, BRAID_NEG):
+            w = 1.0 / sqrt_omega_d(d)
+            braiding *= w if kind == BRAID_POS else np.conj(w)
+    closing = float(d) ** (-(n_in + n_out) / 4)  # d**(-1/4) per cap and cup that close the diagram
+    numeric = np.array([braiding * (diag.scale.to_complex() * closing) for diag in diags])
+
+    quad, _, loops, braids = _compile(shape)
+    label_quad, label_keys, mix = _label_forms(shape, n)
     labels = _label_grid(d, n)
     table = _phase_table(d, len(loops))
-    params = _params(diag)
-    acc = np.zeros(d**n, dtype=complex)
+    radix = _radix(d, len(loops))
+    v, l = len(quad), len(loops)
+    y = np.array([(1,) + (0,) * (n + braids) + _params(diag) for diag in diags], dtype=np.int64)
+    acc = np.zeros((len(diags), d**n), dtype=complex)
     for choice in itertools.product(range(d), repeat=braids):
-        y = np.array((1,) + (0,) * n + choice + params, dtype=np.int64)
-        exponent = (label_quad + both[1 : n + 1] @ y @ labels + y @ quad @ y) % (d * d)
-        neutral = np.all((label_loops + (loops @ y)[:, None]) % d == 0, axis=0)
-        acc += np.where(neutral, table[exponent], 0)
-    return DiagramValue(d, n_in, n_out, numeric * acc.reshape(d**n_out, d**n_in))
+        y[:, 1 + n : 1 + n + braids] = choice
+        m = y @ mix
+        neutral = (label_keys == (m[:, v : v + l] % d @ radix)[:, :, None]).all(axis=1)
+        exponent = m[:, v + l :] @ labels
+        exponent += label_quad
+        exponent += (m[:, :v] * y).sum(axis=1)[:, None]
+        exponent %= d * d
+        np.add(acc, table[exponent], out=acc, where=neutral)  # acc is never -0.0: adding 0 would change nothing
+    values = numeric[:, None, None] * acc.reshape(len(diags), d**n_out, d**n_in)
+    return [DiagramValue(d, n_in, n_out, each) for each in values]
+
+
+def evaluate_symbolic(diag: Diagram) -> DiagramValue:
+    """Entrywise symbolic value of a diagram, as a qudit-basis matrix: a batch of one."""
+    return _evaluate_shape(_shape(diag), [diag])[0]

@@ -176,6 +176,8 @@ MALFORMED = {
     "compress d fraction": ("compress", '{"d": 2.5, "n": 1, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}'),
     "compress d boolean": ("compress", '{"d": true, "n": 1, "re": [1], "im": [0]}'),
     "compress list document": ("compress", "[1, 2]"),
+    "compress d one": ("compress", '{"d": 1, "n": 1, "re": [1], "im": [0]}'),
+    "compress n negative": ("compress", '{"d": 2, "n": -1, "re": [1], "im": [0]}'),
     "mct d list": ("mct", '{"d": [2], "n": 1, "parties": [[%s]]}' % IDENTITY),
     "mct huge d": ("mct", '{"d": 1e400, "n": 1, "parties": [[%s]]}' % IDENTITY),
     "mct list document": ("mct", "[1]"),

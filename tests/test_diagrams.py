@@ -206,15 +206,25 @@ def _charge_reference(t, s, k, d):
     return out
 
 
-def _frame_on(t, a, b, e, d):
-    """The pending frame zeta**e (x)_i X**a_i Z**b_i applied to six string axes of t."""
-    from paradiag.diagrams import dense
+def _frame_on(t, diag):
+    """The compiled frame of ``diag``, zeta**e (x)_i X**a_i Z**b_i, applied to six string axes of t.
 
-    out = t * dense._zeta_powers(d)[e % (d * d)]
-    for p in (1, 3, 5):
-        pair = dense._absorb(np.eye(d * d), a, b, p, d)
-        out = np.matmul(pair, out.reshape(d ** (p - 1), d * d, -1))
-    assert a == b == [0] * 6  # absorbing resets the frame
+    ``diag`` has six strings and charges only, so its plan's three output
+    steps absorb the frame of string pairs (1, 2), (3, 4) and (5, 6).
+    """
+    from paradiag.diagrams import dense
+    from paradiag.diagrams.ir import _shape
+
+    d, plan = diag.d, dense._plan(_shape(diag))
+    acts = [act for _, _, act in plan.steps if act is not None]
+    assert len(acts) == 3  # every string's frame is absorbed once
+    e, keys = dense._frame(plan, [diag])
+    idx, ph = dense._pauli_tables(d)
+    out = t * dense._zeta_powers(d)[e[0]]
+    for p, (_, _, key) in zip((1, 3, 5), acts):
+        if key is not None:  # else no charge reached the pair
+            pair = np.eye(d * d)[:, idx[keys[0, key]]] * ph[keys[0, keys.shape[1] // 2 + key]]
+            out = np.matmul(pair, out.reshape(d ** (p - 1), d * d, -1))
     return out.reshape(t.shape)
 
 
@@ -222,8 +232,9 @@ def _frame_on(t, a, b, e, d):
 def test_dense_kernel_matches_definitions(d):
     """Charges and braids on six strings agree with their full-width definitions.
 
-    A charge only updates the pending frame; absorbed pair by pair, the frame
-    of one charge, and of a run of charges, must equal the definition.  The
+    A charge only enters the frame that the plan compiles; absorbed pair by
+    pair, the frame of one charge, and of a run of charges, must equal the
+    definition.  The
     braid is the charge-pair sum over the principal sqrt(omega*d): sum_k
     c_p(k) c_(p+1)(-k) for the positive braid, sum_k c_(p+1)(k) c_p(-k) over
     the conjugate for the negative one.
@@ -237,11 +248,11 @@ def test_dense_kernel_matches_definitions(d):
     runs += [[(int(s), int(k)) for s, k in zip(rng.integers(1, 7, 4), rng.integers(-d, 2 * d, 4))]
              for _ in range(20)]
     for run in runs:
-        a, b, e, ref = [0] * 6, [0] * 6, 0, t
+        ref = t
         for s, k in run:
-            e += dense._charge(a, b, s, k % d)
             ref = _charge_reference(ref, s, k, d)
-        assert np.max(np.abs(_frame_on(t, a, b, e, d) - ref)) <= 1e-12, run
+        diag = Diagram(d, 6, tuple(Generator(CHARGE, s, k=k) for s, k in run))
+        assert np.max(np.abs(_frame_on(t, diag) - ref)) <= 1e-12, run
     z = np.exp(1j * np.pi / d) if d % 2 == 0 else np.exp(2j * np.pi * ((d + 1) // 2) / d)
     sqrt_omega_d = np.sqrt(sum(z ** (j * j) for j in range(d)) * np.sqrt(d))
     for p in range(1, 6):
@@ -283,27 +294,27 @@ ABSORB_CASES = {
 
 @pytest.mark.parametrize("d", range(2, 9))
 @pytest.mark.parametrize("build, kind, count", ABSORB_CASES.values(), ids=ABSORB_CASES)
-def test_dense_absorb_points_agree_entrywise(monkeypatch, build, kind, count, d):
+def test_dense_absorb_points_agree_entrywise(build, kind, count, d):
     """Each absorber takes a charged frame on both strings; dense = symbolic entrywise."""
     from paradiag.diagrams import dense
+    from paradiag.diagrams.ir import _shape
 
     diag = build(d)
     for s in diag.slices:  # the twist -sum_{i<j} k_i k_j is off 0 mod d*d
         ks = [k for _, k in s.items]
         assert s.kind != MULTICHARGE or sum(x * y for i, x in enumerate(ks) for y in ks[i + 1:]) % (d * d)
     kinds = {(1, d * d): "cup", (d * d, d * d): "braid", (d, d * d): "output"}
+    plan = dense._plan(_shape(diag))
+    _, keys = dense._frame(plan, [diag])
+    keyed = keys.shape[1] // 2
     seen = []
-    absorb = dense._absorb
-
-    def spy(mat, a, b, p, d):
-        if (a[p - 1] % d or b[p - 1] % d) and (a[p] % d or b[p] % d):
-            seen.append(kinds[mat.shape])
-        return absorb(mat, a, b, p, d)
-
-    evaluate_dense(diag)  # build the cached operators before spying
-    monkeypatch.setattr(dense, "_absorb", spy)
-    got = evaluate_dense(diag).array
+    for _, _, act in plan.steps:  # the frame digits a1, a2 and b1, b2 a step's operator absorbs
+        if act is not None and act[2] is not None:
+            (a1, a2), (b1, b2) = divmod(keys[0, act[2]], d), divmod(keys[0, keyed + act[2]], d)
+            if (a1 or b1) and (a2 or b2):
+                seen.append(kinds[act[1]().shape])
     assert seen.count(kind) == count
+    got = evaluate_dense(diag).array
     assert np.max(np.abs(got - evaluate_symbolic(diag).array)) <= 1e-9
 
 
@@ -356,7 +367,7 @@ def test_charge_only_diagrams_leave_cached_arrays_alone(d):
     charged = Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(MULTICHARGE, items=((1, 2), (3, 1))),))
     cached = [dense._input_pair(d), dense._cap_pair(d), dense.pair_isometry(d),
               dense._pair_adjoint(d), dense._cap_vector(d), dense._zeta_powers(d),
-              dense._order_phases(d, 2), dense._braid_gate(d, True), *dense._pauli_pair(d, 1, 1, 1, 1)]
+              dense._order_phases(d, 2), dense._braid_gate(d, True), *dense._pauli_tables(d)]
     before = [arr.copy() for arr in cached]
     for diag in (charged, builtin("X", d), builtin("Y", d), builtin("Z", d), builtin("bell", d)):
         evaluate_dense(diag)
@@ -594,6 +605,37 @@ def test_drawn_stacking_composes(data, d):
     product = evaluate_dense(lower).array @ evaluate_dense(upper).array
     assert np.max(np.abs(evaluate_dense(stacked).array - product)) <= 1e-9
     assert np.max(np.abs(evaluate_symbolic(stacked).array - product)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_batch_equals_its_batches_of_one(data, d, seed):
+    """A drawn diagram and recharged, rescaled twins of it: each value of the batch is the value alone."""
+    from paradiag.diagrams import dense, symbolic
+    from paradiag.diagrams.ir import _shape
+
+    rng = np.random.default_rng(seed)
+    first = data.draw(diagrams(d))
+
+    def twin():
+        again = _recharged(first, rng)
+        scale = DiagramScale.of(d, zeta_exp=int(rng.integers(d * d)), quarter=int(rng.integers(-2, 3)))
+        return Diagram(d, again.top, again.slices, scale)
+
+    batch = [first] + [twin() for _ in range(data.draw(st.integers(1, 6)))]
+    values = symbolic._evaluate_shape(_shape(first), batch)
+    assert len(values) == len(batch)
+    for value, diag in zip(values, batch):  # in input order
+        alone = evaluate_symbolic(diag)
+        assert (value.n_in, value.n_out) == (alone.n_in, alone.n_out)
+        assert value.array.shape == alone.array.shape and value.array.tobytes() == alone.array.tobytes()
+    values = dense._evaluate_shape(_shape(first), batch)
+    assert len(values) == len(batch)
+    for value, diag in zip(values, batch):
+        alone = evaluate_dense(diag)
+        assert (value.n_in, value.n_out) == (alone.n_in, alone.n_out)
+        assert value.array.shape == alone.array.shape
+        assert np.max(np.abs(value.array - alone.array), initial=0.0) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

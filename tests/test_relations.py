@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from paradiag.diagrams import RELATION_IDS, check_relation
+from paradiag.diagrams.ir import _shape
 
 
 def test_relation_catalogue_is_complete():
@@ -48,3 +50,76 @@ def test_report_dict_shape():
     assert rep["pass"] is True
     assert {"relation", "d", "cases", "max_dev", "pass"} <= set(rep)
     assert all({"case", "dense_dev", "symbolic_dev"} <= set(c) for c in rep["cases"])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_every_relation_passes_every_dimension(d):
+    """The whole suite at every d the relations command accepts."""
+    for relation in RELATION_IDS:
+        report = check_relation(relation, d)
+        assert report.passed and report.max_dev <= 1e-9, f"{relation} d={d}: max dev {report.max_dev}"
+
+
+def _spy_batches(monkeypatch):
+    """Record each batch of diagrams an evaluator gets, per backend."""
+    from paradiag.diagrams import dense, symbolic
+
+    calls = {"dense": [], "symbolic": []}
+    for backend, module in (("dense", dense), ("symbolic", symbolic)):
+        def spy(shape, diags, evaluate=module._evaluate_shape, seen=calls[backend]):
+            seen.append(list(diags))
+            return evaluate(shape, diags)
+
+        monkeypatch.setattr(module, "_evaluate_shape", spy)
+    return calls
+
+
+def test_twisted_product_evaluates_shared_diagrams_once(monkeypatch):
+    """Each (k, l) has its same, below and above diagrams: 108 evaluations at d = 3, not 144."""
+    calls = _spy_batches(monkeypatch)
+    assert check_relation("twisted_product", 3).passed
+    for batches in calls.values():
+        evaluated = [id(diag) for batch in batches for diag in batch]
+        assert len(evaluated) == len(set(evaluated)) == 108
+
+
+@pytest.mark.parametrize("relation", RELATION_IDS)
+def test_check_relation_evaluates_each_distinct_diagram_once(monkeypatch, relation):
+    """Per backend, every distinct diagram of the built cases is evaluated exactly once, at every d."""
+    from paradiag.diagrams import relations
+
+    for d in range(2, 9):
+        cases = relations._BUILDERS[relation](d)
+        distinct = {id(diag) for case in cases for side in (case.lhs, case.rhs)
+                    if not isinstance(side, np.ndarray) for _, diag in side}
+        monkeypatch.setitem(relations._BUILDERS, relation, lambda _, cases=cases: cases)
+        calls = _spy_batches(monkeypatch)
+        assert check_relation(relation, d).passed
+        for batches in calls.values():
+            evaluated = [id(diag) for batch in batches for diag in batch]
+            assert sorted(evaluated) == sorted(distinct), (relation, d)
+            assert all(len({_shape(diag) for diag in batch}) == 1 for batch in batches)
+        monkeypatch.undo()
+
+
+def test_relation_chunks_stay_under_the_entry_bound(monkeypatch):
+    """No run of cases, and so no batch an evaluator gets, holds more matrix entries than the bound."""
+    from paradiag.diagrams import relations
+
+    chunks, runs = relations._chunks, []
+
+    def spy(cases):
+        for run, batches in chunks(cases):
+            runs.append(sum(diag.d ** (diag.n_in + diag.n_out) for batch in batches.values() for diag in batch))
+            yield run, batches
+
+    monkeypatch.setattr(relations, "_chunks", spy)
+    calls = _spy_batches(monkeypatch)
+    for d in range(2, 9):
+        for relation in RELATION_IDS:
+            check_relation(relation, d)
+    assert max(runs) <= relations._CHUNK_ENTRIES
+    assert max(runs) > relations._CHUNK_ENTRIES // 2  # the bound is reached, so it splits the suite
+    assert len(runs) > len(RELATION_IDS) * 7  # some relation takes more than one run
+    batches = calls["dense"] + calls["symbolic"]
+    assert max(sum(diag.d ** (diag.n_in + diag.n_out) for diag in batch) for batch in batches) <= max(runs)

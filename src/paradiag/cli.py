@@ -111,7 +111,10 @@ def _eval_bytes(diag: Diagram, backend: str) -> int:
 
     Dense: two complex arrays of the most axes the evaluator holds, those
     of the largest factor or operator it builds (the ``peak`` of its
-    plan) or the n_in + n_out of the final value.  Symbolic, in rows of
+    plan) or the n_in + n_out of the final value, and three arrays of
+    ``peak`` axes for the operators it caches on first use: the braid
+    gates of both handednesses (4 axes), the one-pair isometry and its
+    adjoint (3 axes each), and tables of d*d entries.  Symbolic, in rows of
     one value per entry of the d**n_out x d**n_in matrix: as
     int64 rows, the n-row label grid and the two n-row products that build
     its quadratic part, the cached quadratic row and loop rows, two
@@ -121,7 +124,8 @@ def _eval_bytes(diag: Diagram, backend: str) -> int:
     qudit.
     """
     n = diag.n_in + diag.n_out
-    dense = 2 * 16 * diag.d ** max(_plan(_shape(diag)).peak, n)
+    peak = _plan(_shape(diag)).peak
+    dense = 16 * (2 * diag.d ** max(peak, n) + 3 * diag.d ** max(peak, 2))
     loops = diag.n_out + sum(s.kind == CUP for s in diag.slices)
     symbolic = diag.d**n * (8 * (3 * n + 3 * loops + 4) + 16 * 4)
     return {"dense": dense, "symbolic": symbolic, "both": dense + symbolic}[backend]

@@ -30,11 +30,17 @@ applied to the stored factors.  Its tail Z**-k passes each X**a_i before s
 at the cost q**(-k*a_i) (Z X = q X Z), so a charge sets e -= 2*k*a_i and
 b_i -= k, and then a_s += k.  A multicharge applies its items from the
 right and adds its twist -sum_{i<j} k_i k_j to e.  Which strings a charge
-touches is fixed by the shape, so the frame is compiled: each a_i and b_i
-is an integer linear form in the charges, and e a quadratic form.  The
-charges are read mod d*d (``ir._params``): a frame exponent is used mod
-d, and the zeta exponent moves by a multiple of 2d, which the order of
-zeta divides.  zeta**e joins the final scale, so charge phases stay exact
+touches is fixed by the shape, so the plan compiles the frame into
+windows.  A string's window holds the charges since an operator last
+absorbed its frame: those on the string, whose sum is a_i, and those on
+strings to its right, whose sum is -b_i and each of which adds -2*k times
+the window's a_i so far to e.  A multicharge's twist is a window of its
+own, each item adding -k times the items before it.  A charge enters at
+most one window per string and the twist of its multicharge, so a plan is
+linear in the charges, and a batch's frame is a few gathers and running
+sums over the charges' rows (``ir._params``), all read mod 2d: the order
+of zeta, d or 2d, divides both 2d and d*d, and a frame exponent is used
+mod d.  zeta**e joins the final scale, so charge phases stay exact
 integers until that one multiply.
 
 Caps, input pairs and everything built from them form a tensor network:
@@ -50,14 +56,15 @@ pending frame covers every string alike.
 Everything but the charge values is fixed by the charge-free shape, so
 one walk of the slices per shape records a cached plan: for each cup,
 braid and output qudit, the factor it acts on, the merge it needs first,
-the reshape of its matrix product and the forms of the frame it absorbs,
-and the form of e.  A merge multiplies two factors into one in a single
-broadcast product: each run of one factor's legs is one axis, of size 1
-in the other, so the merged legs stay in string order and nothing is
-transposed; the column digits are the first factor's, then the second's.
+the reshape of its matrix product and the windows of the frame it
+absorbs, and the windows of e.  A merge multiplies two factors into one
+in a single broadcast product: each run of one factor's legs is one axis,
+of size 1 in the other, so the merged legs stay in string order and
+nothing is transposed; the column digits are the first factor's, then the
+second's.
 A step's small cached operator first absorbs the frame of its two
 adjacent strings (right-multiplying by a Pauli pair is a column gather
-and a phase, rows a1*d + a2 and b1*d + b2 of two per-d tables), then acts
+and a phase, both computed from the digits a1, b1, a2, b2), then acts
 by one matrix product on a free reshape of the factor's C-contiguous array
 into (legs before, the two strings, everything after).  A cup drops both
 strings, which can leave a factor with no legs (a closed loop: a scalar,
@@ -67,12 +74,12 @@ also holds the turn excess and the most axes of any factor or operator,
 which bounds the memory of an evaluation.
 
 The evaluator takes a batch of diagrams that share one shape, one row of
-charges each, and ``evaluate_dense`` is a batch of one.  One integer
-matrix product maps the rows to every step's frame keys and to e; every
-factor array carries the batch on its first axis (of size 1 until an
-operator that depends on the charges meets it), and a step stacks each
-diagram's absorbed operator into one (batch, rows, d*d) array for one
-stacked matrix product.
+charges each, and ``evaluate_dense`` is a batch of one.  The windows map
+the rows to every step's frame digits and to e; every factor array
+carries the batch on its first axis (of size 1 until an operator that
+depends on the charges meets it), and a step stacks each diagram's
+absorbed operator into one (batch, rows, d*d) array for one stacked
+matrix product.
 
 A braid is the charge sum sum_k c_p(k) c_(p+1)(-k) over the principal
 sqrt(omega*d), mirrored and over the conjugate for the negative braid.  The
@@ -186,7 +193,7 @@ def pair_isometry(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pair_adjoint(d: int) -> np.ndarray:
-    return _frozen(pair_isometry(d).conj().T.copy())
+    return _frozen(np.conj(pair_isometry(d).T, order="C"))
 
 
 @lru_cache(maxsize=None)
@@ -219,18 +226,24 @@ def _order_phases(d: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pauli_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every Pauli pair X**a1 Z**b1 (x) X**a2 Z**b2 as a column gather and a phase.
+def _pair_digits(d: int) -> np.ndarray:
+    """The digits m1, m2 of each two-string index m1*d + m2, as a (2, 1, d*d) array."""
+    return _frozen(np.array(np.divmod(np.arange(d * d), d))[:, np.newaxis])
 
-    Column m1*d + m2 of the pair has its one entry, q**(b1*m1 + b2*m2), in
-    row (m1 + a1, m2 + a2) mod d, so ``mat @ pair`` is ``mat[..., idx] * ph``
-    with ``idx`` row a1*d + a2 of the first table and ``ph`` row b1*d + b2
-    of the second.
+
+def _pauli_pairs(d: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli pairs X**a1 Z**b1 (x) X**a2 Z**b2 as column gathers and phases.
+
+    ``digits`` has rows a1, b1, a2, b2, each of any shape S; ``idx`` and
+    ``ph`` have shape S + (d*d,).  Column m1*d + m2 of a pair has its one
+    entry, q**(b1*m1 + b2*m2), in row (m1 + a1, m2 + a2) mod d, so
+    ``mat @ pair`` is ``mat[..., idx] * ph``.
     """
-    m1, m2 = np.divmod(np.arange(d * d), d)
-    x1, x2 = m1[:, np.newaxis], m2[:, np.newaxis]  # the digits of the row key
-    idx = (m1 + x1) % d * d + (m2 + x2) % d
-    return _frozen(idx), _frozen(_zeta_powers(d)[2 * (x1 * m1 + x2 * m2) % (d * d)])
+    m, x = _pair_digits(d), digits.reshape(4, -1, 1)
+    rows = (m + x[0::2]) % d
+    exponent = (m * x[1::2]).sum(axis=0)
+    shape = digits.shape[1:] + (d * d,)
+    return (rows[0] * d + rows[1]).reshape(shape), _zeta_powers(d)[2 * exponent % (d * d)].reshape(shape)
 
 
 @lru_cache(maxsize=None)
@@ -240,17 +253,19 @@ def _braid_gate(d: int, positive: bool) -> np.ndarray:
     Term k of the positive braid, c_p(k) c_(p+1)(-k), is the two-string
     frame zeta**(2*k*k) X**k Z**k (x) X**-k; term k of the negative one,
     c_(p+1)(k) c_p(-k), is X**-k Z**-k (x) X**k.  The tails either term
-    would put on strings before p cancel (see the module docstring).
+    would put on strings before p cancel (see the module docstring).  The
+    terms shift each column to d different rows, so each entry of the
+    gate is one term's.
     """
-    idx, ph = _pauli_tables(d)
-    eye = np.eye(d * d, dtype=complex)
+    k = np.arange(d)
+    x = k if positive else -k % d  # X**x Z**x on string p, X**-x on string p+1
+    idx, ph = _pauli_pairs(d, np.array([x, x, -x % d, 0 * k]))
     gate = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        x = k if positive else -k % d  # X**x Z**x on string p, X**-x on string p+1
-        e = 2 * k * k if positive else 0
-        gate += eye[:, idx[x * d + -x % d]] * ph[x * d] * _zeta_powers(d)[e % (d * d)]
+    e = 2 * k * k if positive else 0 * k
+    gate[idx, np.arange(d * d)] = ph * _zeta_powers(d)[e % (d * d)][:, np.newaxis]
     norm = 1.0 / sqrt_omega_d(d)
-    return _frozen(gate * (norm if positive else np.conj(norm)))
+    gate *= norm if positive else np.conj(norm)
+    return _frozen(gate)
 
 
 class _Plan(NamedTuple):
@@ -263,12 +278,15 @@ class _Plan(NamedTuple):
     operator, key)`` and ``operator`` returns the cached operator (a plan
     builds no array, so the memory estimate can read it for any d).
     ``key`` is None when no charge reaches the step's two strings, else
-    the step's column in the frame keys.
+    the step's column in the frame digits.
 
-    ``frame`` maps a diagram's charges u, mod d*d in ``ir._params``
-    order, to ``u @ frame``: first w, with the zeta exponent u @ w, then
-    the frame exponents a1, b1, a2, b2 of the keyed steps, one block each,
-    read mod d.
+    ``frame`` holds the frame's windows one after another, one column per
+    entry, its rows: the entry's charge, in ``ir._params`` order; its
+    signs in a and in b (1, 0 for a charge on the window's string or a
+    twist item, 0, -1 for a charge to its right); its coefficient of k
+    times the window's a so far in e; and the window's first entry.
+    ``windows`` bounds the windows that keyed steps absorb, (low or high,
+    string p or p+1, step).
     ``order`` puts the final columns in qudit order; ``peak`` is the most
     axes of any factor or operator the steps build.
     """
@@ -276,6 +294,7 @@ class _Plan(NamedTuple):
     caps: int
     steps: tuple
     frame: np.ndarray
+    windows: np.ndarray
     order: tuple | None
     excess: int
     peak: int
@@ -289,19 +308,23 @@ def _plan(shape: tuple) -> _Plan:
     fac = [i // 2 for i in range(top)]  # per string: the factor that holds it
     steps: list = []
     peak = 3 if top else 0
-    n = sum(len(ps) if kind == MULTICHARGE else kind == CHARGE for kind, _, ps in slices)
-    unit, zero = np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    frame = [(zero, zero)] * top  # per string: the forms of its X and Z exponents in the charges
-    keys: list = []  # per keyed step: the forms of a1, b1, a2, b2
-    quad = np.zeros((n, n), dtype=np.int64)  # the zeta exponent u @ quad @ u
+    pending: list = [[] for _ in range(top)]  # per string: its open window, (charge, a, b, coefficient) entries
+    entries: list = []  # the closed windows' entries, each with its window's first entry
+    windows: list = []  # per keyed step: the bounds of the windows of strings p and p+1
     param = 0
+
+    def close(window: list) -> tuple[int, int]:
+        """Append a window's entries; return their bounds."""
+        lo = len(entries)
+        entries.extend(entry + (lo,) for entry in window)
+        return lo, len(entries)
 
     def charge(s: int) -> None:
         """Push c_s(r) for the next parameter r: tails Z**-r before s, then X**r on s."""
         nonlocal param
-        quad[param] -= 2 * sum((a for a, _ in frame[: s - 1]), zero)  # Z**-r passes each X**a_i
-        frame[: s - 1] = [(a, b - unit[param]) for a, b in frame[: s - 1]]
-        frame[s - 1] = (frame[s - 1][0] + unit[param], frame[s - 1][1])
+        for window in pending[: s - 1]:  # Z**-r passes each X**a_i: b_i -= r, e -= 2*r*a_i
+            window.append((param, 0, -1, -2))
+        pending[s - 1].append((param, 1, 0, 0))
         param += 1
 
     def merge(f: int, g: int) -> tuple:
@@ -325,12 +348,12 @@ def _plan(shape: tuple) -> _Plan:
         nonlocal peak
         f, g = fac[p - 1], fac[p]
         merged = merge(f, g) if f != g else None
-        (a1, b1), (a2, b2) = frame[p - 1 : p + 1]
-        frame[p - 1 : p + 1] = [(zero, zero)] * 2  # the operator absorbs the frame of both strings
+        bounds = close(pending[p - 1]) + close(pending[p])
+        pending[p - 1 : p + 1] = [], []  # the operator absorbs the frame of both strings
         key = None
-        if any(form.any() for form in (a1, a2, b1, b2)):
-            key = len(keys)
-            keys.append((a1, b1, a2, b2))
+        if bounds[3] > bounds[0]:
+            key = len(windows)
+            windows.append(bounds)
         steps.append((f, merged, ((d ** fac[: p - 1].count(f), d * d, -1), operator, key)))
         peak = max(peak, 4 - drop)  # the operator: (rows, d*d), rows = d**(2 - drop)
         return f
@@ -342,29 +365,29 @@ def _plan(shape: tuple) -> _Plan:
             first = param
             for q in reversed(ps):
                 charge(q)
-            quad[first:param, first:param] -= np.triu(np.ones((len(ps),) * 2, np.int64), 1)
+            close([(r, 1, 0, -1) for r in range(first, param)])
         elif kind == CAP:
             fac[p - 1 : p - 1] = [len(cols)] * 2
-            frame[p - 1 : p - 1] = [(zero, zero)] * 2
+            pending[p - 1 : p - 1] = [], []
             cols.append(())
             peak = max(peak, 2)
         elif kind == CUP:
             step(p, 2, partial(_cup_row, d))
-            del fac[p - 1 : p + 1], frame[p - 1 : p + 1]
+            del fac[p - 1 : p + 1], pending[p - 1 : p + 1]
         elif kind in (BRAID_POS, BRAID_NEG):
             step(p, 0, partial(_braid_gate, d, kind == BRAID_POS))
     for i in range(len(fac) // 2):  # output restriction: strings 2i+1, 2i+2 become output leg i+1
         fac[i : i + 2] = [step(i + 1, 1, partial(_pair_adjoint, d))]
-        del frame[i]
+        del pending[i]
     live = [f for f, c in enumerate(cols) if c is not None]
     steps += [(live[0], merge(live[0], g), None) for g in live[1:]]
     c = cols[live[0]] if live else ()
     order = (0, 1) + tuple(2 + c.index(j) for j in range(len(c))) if list(c) != sorted(c) else None
     bent = any(kind in (CAP, CUP) for kind, _, _ in slices)  # else every strand is straight: no excess turns
     excess = turn_excess(_shape_diagram(shape)) if bent else 0
-    forms = np.array(keys, dtype=np.int64).reshape(len(keys), 4, n)  # (step, a1 b1 a2 b2, charge)
-    frame_map = _frozen(np.concatenate((quad, forms.transpose(2, 1, 0).reshape(n, 4 * len(keys))), axis=1))
-    return _Plan(len(cols) - top // 2, tuple(steps), frame_map, order, excess, peak)
+    frame = _frozen(np.array(entries, dtype=np.int64).reshape(-1, 5).T.copy())
+    bounds = _frozen(np.array(windows, dtype=np.int64).reshape(-1, 2, 2).transpose(2, 1, 0).copy())
+    return _Plan(len(cols) - top // 2, tuple(steps), frame, bounds, order, excess, peak)
 
 
 def _run(facs: list, step: tuple, mat: np.ndarray | None) -> None:
@@ -379,17 +402,24 @@ def _run(facs: list, step: tuple, mat: np.ndarray | None) -> None:
 
 
 def _frame(plan: _Plan, diags: list[Diagram]) -> tuple[np.ndarray, np.ndarray]:
-    """Each diagram's zeta exponent mod d*d, and its frame keys.
+    """Each diagram's zeta exponent mod 2d, and the frame digits its keyed steps absorb.
 
-    The keys are each keyed step's gather row a1*d + a2, then each keyed
-    step's phase row b1*d + b2, one column per step.
+    The digits are a (4, keyed steps, batch) array, rows a1, b1, a2, b2.
+    Every entry's charge is below 2d, so no sum comes near the int64 range.
     """
-    d = diags[0].d
-    u = np.array([_params(diag) for diag in diags], dtype=np.int64)  # (batch, charges), also with no charges
-    mapped = u @ plan.frame
-    keys = mapped[:, u.shape[1] :] % d
-    half = keys.shape[1] // 2
-    return (mapped[:, : u.shape[1]] * u).sum(axis=1) % (d * d), keys[:, :half] * d + keys[:, half:]
+    d, batch = diags[0].d, len(diags)
+    charge, signs, coef, start = plan.frame[0], plan.frame[1:3], plan.frame[3], plan.frame[4]
+    if not len(charge):
+        return np.zeros(batch, dtype=np.int64), np.zeros((4, 0, batch), dtype=np.int64)
+    v = (np.array([_params(diag) for diag in diags], dtype=np.int64) % (2 * d))[:, charge]  # (batch, entries)
+    sums = np.zeros((batch, 2, len(charge) + 1), dtype=np.int64)
+    np.multiply(v[:, np.newaxis], signs, out=sums[:, :, 1:])
+    sums.cumsum(axis=2, out=sums)  # the signed a and b sums before each point
+    before = (sums[:, 0, :-1] - sums[:, 0, start]) % (2 * d)  # the window's a before each entry
+    e = (v * before) @ coef % (2 * d)
+    bounds = sums[:, :, plan.windows]  # (batch, a or b, low or high, string p or p+1, step)
+    digits = (bounds[:, :, 1] - bounds[:, :, 0]) % d
+    return e, digits.transpose(2, 1, 3, 0).reshape(4, -1, batch)
 
 
 def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
@@ -400,9 +430,8 @@ def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
     """
     d, n_in, n_out = shape[0], shape[1] // 2, diags[0].bottom // 2
     plan = _plan(shape)
-    e, keys = _frame(plan, diags)
-    keyed = keys.shape[1] // 2
-    idx, ph = _pauli_tables(d)
+    e, digits = _frame(plan, diags)
+    per = max(1, d ** (plan.peak - 2))  # keyed steps whose pairs hold no more entries than the largest factor
     facs: list = [_input_pair(d)[np.newaxis]] * n_in + [_cap_pair(d)[np.newaxis]] * plan.caps
     for step in plan.steps:
         mat = None
@@ -410,8 +439,10 @@ def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
             _, operator, key = step[2]
             mat = operator()
             if key is not None:  # the operator times each diagram's Pauli pair: (batch, 1, rows, d*d)
-                mat = mat[:, idx[keys[:, key]]]
-                mat *= ph[keys[:, keyed + key]]
+                if key % per == 0:
+                    pairs = _pauli_pairs(d, digits[:, key : key + per])
+                mat = mat[:, pairs[0][key % per]]
+                mat *= pairs[1][key % per]
                 mat = mat.transpose(1, 0, 2)[:, np.newaxis]
         _run(facs, step, mat)
     tensor = next((x for x in facs if x is not None), None)  # all merged into one, if any

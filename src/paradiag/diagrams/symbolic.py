@@ -34,11 +34,11 @@ parameters with its charges mod d*d.  An entry's braid term is then
 exactly sqrt(d)**L * zeta**Q, or 0 when some loop is not neutral; all
 d**(n_in+n_out) entries of every diagram of the batch for one braid term
 come from one numpy evaluation, summed over the terms in the same order
-for a batch as for one diagram.  Neutrality compares one mixed-radix key
-per entry (its label residues mod d, one digit per loop, computed once
-per shape) with one key per diagram.  The only numeric constant is the
-braid normalizer 1/sqrt(omega*d), one factor per braid, common to all
-terms.
+for a batch as for one diagram.  Neutrality compares each entry's label
+residues mod d, one per loop and computed once per shape, with minus
+each diagram's loop totals mod d; no array over the entries is reduced
+mod d.  The only numeric constant is the braid normalizer
+1/sqrt(omega*d), one factor per braid, common to all terms.
 
 The reduction works on a token list ordered top to bottom.  Columns (the
 static vertical string segments found by ``ir.trace_strands``) carry a
@@ -269,32 +269,23 @@ def _label_grid(d: int, n: int) -> np.ndarray:
     return _frozen(np.indices((d,) * n).reshape(n, d**n))
 
 
-@lru_cache(maxsize=None)
-def _radix(d: int, loops: int) -> np.ndarray:
-    """Loop residues mod d to mixed-radix keys: each key holds as many loops as fit in int64."""
-    per = max(1, 62 // d.bit_length())  # d**per < 2**62
-    radix = np.zeros((loops, -(-loops // per)), dtype=np.int64)
-    radix[np.arange(loops), np.arange(loops) // per] = d ** (np.arange(loops) % per)
-    return _frozen(radix)
-
-
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _label_forms(shape: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The label-only parts of a shape's forms over all entries, and the map of the rest.
 
-    Returns Q's label part per entry; the mixed-radix keys of each entry's
-    loop label residues mod d, one row per key; and the map that takes a
-    label-free variable row y to (y @ Q, minus each loop's total, the
-    label coefficients of y @ (Q + Q.T)).  A loop is neutral when its
-    label residue equals minus its total mod d.
+    Returns Q's label part per entry; each loop's label residue mod d per
+    entry, one row per loop, in the smallest unsigned type that holds d - 1; and the map that takes a label-free variable
+    row y to (y @ Q, minus each loop's total, the label coefficients of
+    y @ (Q + Q.T)).  A loop is neutral when its label residue equals minus
+    its total mod d.
     """
     quad, both, loops, _ = _compile(shape)
     d = shape[0]
     labels = _label_grid(d, n)
     label_quad = np.sum(labels * (quad[1 : n + 1, 1 : n + 1] @ labels), axis=0)
-    label_keys = _radix(d, len(loops)).T @ ((loops[:, 1 : n + 1] @ labels) % d)
+    residues = ((loops[:, 1 : n + 1] @ labels) % d).astype(np.min_scalar_type(d - 1))
     mix = np.concatenate((quad, -loops.T, both[1 : n + 1].T), axis=1)
-    return _frozen(label_quad), _frozen(label_keys), _frozen(mix)
+    return _frozen(label_quad), _frozen(residues), _frozen(mix)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -348,17 +339,16 @@ def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
     numeric = np.array([braiding * (diag.scale.to_complex() * closing) for diag in diags])
 
     quad, _, loops, braids = _compile(shape)
-    label_quad, label_keys, mix = _label_forms(shape, n)
+    label_quad, residues, mix = _label_forms(shape, n)
     labels = _label_grid(d, n)
     table = _phase_table(d, len(loops))
-    radix = _radix(d, len(loops))
     v, l = len(quad), len(loops)
     y = np.array([(1,) + (0,) * (n + braids) + _params(diag) for diag in diags], dtype=np.int64)
     acc = np.zeros((len(diags), d**n), dtype=complex)
     for choice in itertools.product(range(d), repeat=braids):
         y[:, 1 + n : 1 + n + braids] = choice
         m = y @ mix
-        neutral = (label_keys == (m[:, v : v + l] % d @ radix)[:, :, None]).all(axis=1)
+        neutral = (residues == (m[:, v : v + l] % d)[:, :, None]).all(axis=1)
         exponent = m[:, v + l :] @ labels
         exponent += label_quad
         exponent += (m[:, :v] * y).sum(axis=1)[:, None]

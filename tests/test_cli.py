@@ -150,6 +150,27 @@ def test_eval_dense_estimate_bounds_every_array(monkeypatch, d):
         assert 2 * 16 * max(cells) <= bound, diag
 
 
+@pytest.mark.parametrize("name, d", [("X", 64), ("Z", 48), ("braid_pos", 12), ("bell", 24)])
+def test_eval_dense_estimate_covers_a_cold_evaluation(name, d):
+    """With every cache empty, a dense evaluation's traced peak stays within its estimate."""
+    import tracemalloc
+
+    from paradiag.diagrams import dense
+
+    diag = builtin(name, d)
+    bound = _eval_bytes(diag, "dense")
+    for cached in vars(dense).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    tracemalloc.start()
+    try:
+        evaluate_dense(diag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
 def test_eval_dense_admits_wide_resource_diagram(capsys, tmp_path):
     """The n = 16 resource state has width 32 but factors of at most 18 axes: it is evaluated."""
     path = tmp_path / "max16.json"

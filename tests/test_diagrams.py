@@ -218,14 +218,84 @@ def _frame_on(t, diag):
     d, plan = diag.d, dense._plan(_shape(diag))
     acts = [act for _, _, act in plan.steps if act is not None]
     assert len(acts) == 3  # every string's frame is absorbed once
-    e, keys = dense._frame(plan, [diag])
-    idx, ph = dense._pauli_tables(d)
+    e, digits = dense._frame(plan, [diag])
     out = t * dense._zeta_powers(d)[e[0]]
     for p, (_, _, key) in zip((1, 3, 5), acts):
         if key is not None:  # else no charge reached the pair
-            pair = np.eye(d * d)[:, idx[keys[0, key]]] * ph[keys[0, keys.shape[1] // 2 + key]]
+            idx, ph = dense._pauli_pairs(d, digits[:, key])
+            pair = np.eye(d * d)[:, idx[0]] * ph[0]
             out = np.matmul(pair, out.reshape(d ** (p - 1), d * d, -1))
     return out.reshape(t.shape)
+
+
+def _frame_walk(diag):
+    """The pending frame walked slice by slice in exact integers: e, and each step's digits a1, b1, a2, b2."""
+    d, a, b, e, digits = diag.d, [0] * diag.top, [0] * diag.top, 0, []
+
+    def charge(s, k):
+        nonlocal e
+        e -= 2 * k * sum(a[: s - 1])
+        b[: s - 1] = [x - k for x in b[: s - 1]]
+        a[s - 1] += k
+
+    def absorb(p):
+        digits.append((a[p - 1] % d, b[p - 1] % d, a[p] % d, b[p] % d))
+        a[p - 1 : p + 1] = b[p - 1 : p + 1] = [0, 0]
+
+    for s in diag.slices:
+        if s.kind == CHARGE:
+            charge(s.pos, s.k)
+        elif s.kind == MULTICHARGE:
+            for q, k in reversed(s.items):
+                charge(q, k)
+            ks = [k for _, k in s.items]
+            e -= sum(x * y for i, x in enumerate(ks) for y in ks[i + 1 :])
+        elif s.kind == CAP:
+            a[s.pos - 1 : s.pos - 1] = b[s.pos - 1 : s.pos - 1] = [0, 0]
+        else:
+            absorb(s.pos)
+            if s.kind == CUP:
+                del a[s.pos - 1 : s.pos + 1], b[s.pos - 1 : s.pos + 1]
+    for i in range(len(a) // 2):
+        absorb(i + 1)
+        del a[i], b[i]
+    return e, digits
+
+
+def _assert_frame_matches_walk(diag):
+    from paradiag.diagrams import dense
+    from paradiag.diagrams.ir import _shape
+
+    d, plan = diag.d, dense._plan(_shape(diag))
+    e, digits = dense._frame(plan, [diag])
+    keys = [act[2] for _, _, act in plan.steps if act is not None]
+    got = [(0,) * 4 if key is None else tuple(int(x) for x in digits[:, key, 0]) for key in keys]
+    want_e, want = _frame_walk(diag)
+    assert got == want
+    assert (int(e[0]) - want_e) % (d if d % 2 else 2 * d) == 0  # the order of zeta
+    return plan
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 2**20, 2**20 + 1])
+def test_compiled_frame_matches_the_exact_walk(d):
+    """The plan's windows give every step's frame digits and e as the exact walk does, at any d and charge."""
+    rng = np.random.default_rng(70 + d % 97)
+    for _ in range(40):
+        diag = random_diagram(d, rng, max_strings=6, max_slices=60, max_braids=4)
+        slices = tuple(Generator(s.kind, s.pos, k=int(rng.integers(-2**62, 2**62)))
+                       if s.kind == CHARGE else s for s in diag.slices)
+        _assert_frame_matches_walk(Diagram(d, diag.top, slices))
+
+
+@pytest.mark.parametrize("d", [3, 2**20])
+def test_long_charge_only_frame_stays_linear(d):
+    """20,000 charges on two strings: a plan of at most two entries per charge, and the exact frame."""
+    rng = np.random.default_rng(80)
+    n = 20_000
+    slices = tuple(Generator(CHARGE, int(s), k=int(k))
+                   for s, k in zip(rng.integers(1, 3, n), rng.integers(-2**62, 2**62, n)))
+    plan = _assert_frame_matches_walk(Diagram(d, 2, slices))
+    assert plan.frame.shape == (5, sum(s.pos for s in slices))  # one entry per window a charge enters
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -234,10 +304,9 @@ def test_dense_kernel_matches_definitions(d):
 
     A charge only enters the frame that the plan compiles; absorbed pair by
     pair, the frame of one charge, and of a run of charges, must equal the
-    definition.  The
-    braid is the charge-pair sum over the principal sqrt(omega*d): sum_k
-    c_p(k) c_(p+1)(-k) for the positive braid, sum_k c_(p+1)(k) c_p(-k) over
-    the conjugate for the negative one.
+    definition.  The braid is the charge-pair sum over the principal
+    sqrt(omega*d): sum_k c_p(k) c_(p+1)(-k) for the positive braid, sum_k
+    c_(p+1)(k) c_p(-k) over the conjugate for the negative one.
     """
     from paradiag.diagrams import dense
 
@@ -305,12 +374,11 @@ def test_dense_absorb_points_agree_entrywise(build, kind, count, d):
         assert s.kind != MULTICHARGE or sum(x * y for i, x in enumerate(ks) for y in ks[i + 1:]) % (d * d)
     kinds = {(1, d * d): "cup", (d * d, d * d): "braid", (d, d * d): "output"}
     plan = dense._plan(_shape(diag))
-    _, keys = dense._frame(plan, [diag])
-    keyed = keys.shape[1] // 2
+    _, digits = dense._frame(plan, [diag])
     seen = []
-    for _, _, act in plan.steps:  # the frame digits a1, a2 and b1, b2 a step's operator absorbs
+    for _, _, act in plan.steps:  # the frame digits a1, b1, a2, b2 a step's operator absorbs
         if act is not None and act[2] is not None:
-            (a1, a2), (b1, b2) = divmod(keys[0, act[2]], d), divmod(keys[0, keyed + act[2]], d)
+            a1, b1, a2, b2 = digits[:, act[2], 0]
             if (a1 or b1) and (a2 or b2):
                 seen.append(kinds[act[1]().shape])
     assert seen.count(kind) == count
@@ -367,7 +435,7 @@ def test_charge_only_diagrams_leave_cached_arrays_alone(d):
     charged = Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(MULTICHARGE, items=((1, 2), (3, 1))),))
     cached = [dense._input_pair(d), dense._cap_pair(d), dense.pair_isometry(d),
               dense._pair_adjoint(d), dense._cap_vector(d), dense._zeta_powers(d),
-              dense._order_phases(d, 2), dense._braid_gate(d, True), *dense._pauli_tables(d)]
+              dense._order_phases(d, 2), dense._braid_gate(d, True), *dense._pair_digits(d)]
     before = [arr.copy() for arr in cached]
     for diag in (charged, builtin("X", d), builtin("Y", d), builtin("Z", d), builtin("bell", d)):
         evaluate_dense(diag)

@@ -73,13 +73,12 @@ leg.  At the end the live factors merge in order of creation.  The plan
 also holds the turn excess and the most axes of any factor or operator,
 which bounds the memory of an evaluation.
 
-The evaluator takes a batch of diagrams that share one shape, one row of
-charges each, and ``evaluate_dense`` is a batch of one.  The windows map
+The evaluator takes one shape and a batch of charge rows (``ir._params``)
+and scales, and ``evaluate_dense`` is a batch of one.  The windows map
 the rows to every step's frame digits and to e; every factor array
 carries the batch on its first axis (of size 1 until an operator that
-depends on the charges meets it), and a step stacks each diagram's
-absorbed operator into one (batch, rows, d*d) array for one stacked
-matrix product.
+depends on the charges meets it), and a step stacks each row's absorbed
+operator into one (batch, rows, d*d) array for one stacked matrix product.
 
 A braid is the charge sum sum_k c_p(k) c_(p+1)(-k) over the principal
 sqrt(omega*d), mirrored and over the conjugate for the negative braid.  The
@@ -115,6 +114,7 @@ from .ir import (
     Diagram,
     DiagramError,
     _SHAPE_CACHE_SIZE,
+    _n_out,
     _params,
     _shape,
     _shape_diagram,
@@ -401,17 +401,17 @@ def _run(facs: list, step: tuple, mat: np.ndarray | None) -> None:
         facs[f] = np.matmul(mat, facs[f].reshape((len(facs[f]),) + act[0]))
 
 
-def _frame(plan: _Plan, diags: list[Diagram]) -> tuple[np.ndarray, np.ndarray]:
-    """Each diagram's zeta exponent mod 2d, and the frame digits its keyed steps absorb.
+def _frame(plan: _Plan, d: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each charge row's zeta exponent mod 2d, and the frame digits its keyed steps absorb.
 
     The digits are a (4, keyed steps, batch) array, rows a1, b1, a2, b2.
     Every entry's charge is below 2d, so no sum comes near the int64 range.
     """
-    d, batch = diags[0].d, len(diags)
+    batch = len(params)
     charge, signs, coef, start = plan.frame[0], plan.frame[1:3], plan.frame[3], plan.frame[4]
     if not len(charge):
         return np.zeros(batch, dtype=np.int64), np.zeros((4, 0, batch), dtype=np.int64)
-    v = (np.array([_params(diag) for diag in diags], dtype=np.int64) % (2 * d))[:, charge]  # (batch, entries)
+    v = (params % (2 * d))[:, charge]  # (batch, entries)
     sums = np.zeros((batch, 2, len(charge) + 1), dtype=np.int64)
     np.multiply(v[:, np.newaxis], signs, out=sums[:, :, 1:])
     sums.cumsum(axis=2, out=sums)  # the signed a and b sums before each point
@@ -422,15 +422,15 @@ def _frame(plan: _Plan, diags: list[Diagram]) -> tuple[np.ndarray, np.ndarray]:
     return e, digits.transpose(2, 1, 3, 0).reshape(4, -1, batch)
 
 
-def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
-    """Dense values of a batch of diagrams that share one charge-free shape.
+def _evaluate_shape(shape: tuple, params: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Dense values (batch, d**n_out, d**n_in) of one shape, per charge row (``ir._params``) and scale.
 
     Every factor array carries the batch on its first axis, of size 1
     until an operator that depends on the charges meets it.
     """
-    d, n_in, n_out = shape[0], shape[1] // 2, diags[0].bottom // 2
+    d, n_in, n_out = shape[0], shape[1] // 2, _n_out(shape)
     plan = _plan(shape)
-    e, digits = _frame(plan, diags)
+    e, digits = _frame(plan, d, params)
     per = max(1, d ** (plan.peak - 2))  # keyed steps whose pairs hold no more entries than the largest factor
     facs: list = [_input_pair(d)[np.newaxis]] * n_in + [_cap_pair(d)[np.newaxis]] * plan.caps
     for step in plan.steps:
@@ -438,7 +438,7 @@ def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
         if step[2] is not None:
             _, operator, key = step[2]
             mat = operator()
-            if key is not None:  # the operator times each diagram's Pauli pair: (batch, 1, rows, d*d)
+            if key is not None:  # the operator times each charge row's Pauli pair: (batch, 1, rows, d*d)
                 if key % per == 0:
                     pairs = _pauli_pairs(d, digits[:, key : key + per])
                 mat = mat[:, pairs[0][key % per]]
@@ -447,8 +447,8 @@ def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
         _run(facs, step, mat)
     tensor = next((x for x in facs if x is not None), None)  # all merged into one, if any
     root = float(d) ** (plan.excess / 4)
-    scale = np.array([root * (diag.scale.to_complex() * z) for diag, z in zip(diags, _zeta_powers(d)[e])])
-    scale = scale[:, np.newaxis, np.newaxis]  # per diagram, output label and column
+    scale = np.array([root * (s * z) for s, z in zip(scales.tolist(), _zeta_powers(d)[e].tolist())])
+    scale = scale[:, np.newaxis, np.newaxis]  # per row, output label and column
     if n_out > 1:  # the order phase of a single label is 1
         scale = scale * _order_phases(d, n_out)[:, np.newaxis]
     if tensor is None:
@@ -459,9 +459,11 @@ def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
         mat = tensor.reshape(len(tensor), d**n_out, d**n_in) * scale
     if n_in > 1:
         mat *= _order_phases(d, n_in).conj()
-    return [DiagramValue(d, n_in, n_out, each) for each in mat]
+    return mat
 
 
 def evaluate_dense(diag: Diagram) -> DiagramValue:
     """Slice-by-slice dense value, restricted to the qudit basis: a batch of one."""
-    return _evaluate_shape(_shape(diag), [diag])[0]
+    values = _evaluate_shape(_shape(diag), np.array([_params(diag)], dtype=np.int64),
+                             np.array([diag.scale.to_complex()]))
+    return DiagramValue(diag.d, diag.n_in, diag.n_out, values[0])

@@ -186,6 +186,11 @@ def _shape(diag: Diagram) -> tuple:
                                     for s in diag.slices))
 
 
+def _n_out(shape: tuple) -> int:
+    """The output qudits of a charge-free shape."""
+    return shape[1] // 2 + sum((kind == CAP) - (kind == CUP) for kind, _, _ in shape[2])
+
+
 def _params(diag: Diagram) -> tuple[int, ...]:
     """The diagram's charge values in shape order, mod d*d.
 

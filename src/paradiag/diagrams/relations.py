@@ -1,20 +1,33 @@
 """The planar relation suite, checked under both evaluators.
 
-Each relation builds its two sides as weighted diagram sums (the weight is
-the stated exact scalar: q**(k*l), zeta**(+-k*l), zeta**(+-k*k), sqrt(d), 0
-or the braid normalizer), evaluates both sides with the dense and the
+Each relation states its two sides as weighted sums (the weight is the
+stated exact scalar: q**(k*l), zeta**(+-k*l), zeta**(+-k*k), sqrt(d), 0 or
+the braid normalizer), evaluates both sides with the dense and the
 symbolic backend, and reports the maximum entrywise deviation.
 
-The cases are evaluated in runs of consecutive cases: each distinct
-diagram (by identity) of a run is evaluated once per backend, in one batch
-per charge-free shape, and a run's values are reduced to its cases'
-deviations and dropped before the next run, so at most
-``_CHUNK_ENTRIES`` matrix entries are held at once.
+No case builds a ``Diagram``: a relation's terms are rows of one charge
+matrix per charge-free shape (``ir._shape``), a row's charges in
+``ir._params`` order, with one scale per row.  A side is a list of
+``(weight, shape, row)`` terms, summed left to right, or a fixed array.
+
+Cases are checked a run at a time.  Consecutive cases that share a row
+form a component (builders share rows only between consecutive cases),
+and components whose cases have the same signatures (each side's term
+shapes) form a class.  Runs take the components class by class, each
+holding at most ``_CHUNK_ENTRIES`` matrix entries of any one shape (or one
+component, if it alone holds more), so a shape's rows fill its batches
+whatever shapes the relation interleaves with it.  A run's rows are
+evaluated once per backend, one batch per shape, and each group of its
+cases with one signature gets both backends' deviations from one set of
+array gathers; the run's values are dropped before the next run.  The
+reports keep the cases' order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,25 +36,16 @@ from ..algebra import max_state, pauli
 from ..scalars import sqrt_omega_d
 from . import dense, symbolic
 from .builtins import builtin
-from .ir import (
-    BRAID_NEG,
-    BRAID_POS,
-    CAP,
-    CHARGE,
-    CUP,
-    MULTICHARGE,
-    Diagram,
-    DiagramScale,
-    Generator,
-    _shape,
-)
+from .dense import _zeta_powers
+from .ir import (BRAID_NEG, BRAID_POS, CAP, CHARGE, CUP, MULTICHARGE, Diagram, Generator, _SHAPE_CACHE_SIZE, _n_out,
+                 _params, _shape)
 
 __all__ = ["RelationCase", "RelationReport", "RELATION_IDS", "check_relation"]
 
-_CHUNK_ENTRIES = 1 << 13  # matrix entries of the distinct diagrams evaluated at once
+_CHUNK_ENTRIES = 1 << 13  # matrix entries of one shape's rows evaluated at once
 
-Weighted = tuple[complex, Diagram]
-Side = Sequence[Weighted] | np.ndarray
+Term = tuple[complex, tuple, int]  # (weight, charge-free shape, row of its charge matrix)
+Side = Sequence[Term] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,187 +73,125 @@ class RelationReport:
         }
 
 
-def _gen(kind: str, pos: int = 1, k: int = 0, items=()) -> Generator:
-    return Generator(kind, pos=pos, k=k, items=tuple(items))
+def _term(rows: dict, weight: complex, shape: tuple, charges: tuple = (), scale: complex = 1.0) -> Term:
+    """A new row of ``shape`` in ``rows`` (per shape, its rows' charges and scales) as a term of ``weight``."""
+    params, scales = rows.setdefault(shape, ([], []))
+    params.append(charges)
+    scales.append(scale)
+    return weight, shape, len(params) - 1
 
 
-def _total(side: Side, values: dict[int, np.ndarray]) -> np.ndarray:
-    """The weighted sum of a side, its diagrams' values looked up by identity."""
-    if isinstance(side, np.ndarray):
-        return side
-    total = None
-    for weight, diag in side:
-        term = weight * values[id(diag)]
-        total = term if total is None else total + term
-    return total
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape_of(d: int, top: int, *slices: tuple) -> tuple:
+    """The shape of slices ``(kind, pos)``; a multicharge's pos is its item positions."""
+    gens = (Generator(kind, items=tuple((p, 0) for p in pos)) if kind == MULTICHARGE else Generator(kind, pos)
+            for kind, pos in slices)
+    return _shape(Diagram(d, top, tuple(gens)))
 
 
-def _chunks(cases: list[RelationCase]):
-    """Runs of consecutive cases, each with its distinct diagrams (by identity) batched by shape.
-
-    Cases go in groups, each case joining the group before it when they
-    share a diagram, and a run is whole groups whose diagrams hold at most
-    ``_CHUNK_ENTRIES`` matrix entries (or one group, if it alone holds
-    more).  So a diagram shared by neighbouring cases falls in one run.
-    """
-    groups: list[tuple[list, dict]] = []
-    for case in cases:
-        diags = {id(diag): diag for side in (case.lhs, case.rhs) if not isinstance(side, np.ndarray)
-                 for _, diag in side}
-        if groups and diags.keys() & groups[-1][1].keys():
-            groups[-1][0].append(case)
-            groups[-1][1].update(diags)
-        else:
-            groups.append(([case], diags))
-    run: list = []
-    distinct: dict = {}
-    entries = 0
-    for group, diags in groups:
-        size = sum(diag.d ** ((diag.top + diag.bottom) // 2) for diag in diags.values())  # matrix entries
-        if run and entries + size > _CHUNK_ENTRIES:
-            yield run, _by_shape(distinct)
-            run, distinct, entries = [], {}, 0
-        run += group
-        distinct |= diags
-        entries += size
-    if run:
-        yield run, _by_shape(distinct)
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _builtin(name: str, d: int) -> tuple[tuple, tuple, complex]:
+    """The builtin diagram ``name`` as its shape, charge row and scale."""
+    diag = builtin(name, d)
+    return _shape(diag), _params(diag), diag.scale.to_complex()
 
 
-def _by_shape(diags: dict) -> dict[tuple, list[Diagram]]:
-    batches: dict[tuple, list[Diagram]] = {}
-    for diag in diags.values():
-        batches.setdefault(_shape(diag), []).append(diag)
-    return batches
+def _additive_charge(d: int, term: Callable[..., Term]) -> list[RelationCase]:
+    two, one = _shape_of(d, 2, (CHARGE, 1), (CHARGE, 1)), _shape_of(d, 2, (CHARGE, 1))
+    full = RelationCase("k=d", [term(1, _shape_of(d, 2, (CHARGE, 2)), (d,))], [term(1, _shape_of(d, 2))])
+    return [RelationCase(f"k={k},l={l}", [term(1, two, (k, l))], [term(1, one, (k + l,))])
+            for k in range(d) for l in range(d)] + [full]
 
 
-def _additive_charge(d: int) -> list[RelationCase]:
-    cases = []
-    for k in range(d):
-        for l in range(d):
-            lhs = Diagram(d, 2, (_gen(CHARGE, 1, k), _gen(CHARGE, 1, l)))
-            rhs = Diagram(d, 2, (_gen(CHARGE, 1, k + l),))
-            cases.append(RelationCase(f"k={k},l={l}", [(1, lhs)], [(1, rhs)]))
-    cases.append(
-        RelationCase("k=d", [(1, Diagram(d, 2, (_gen(CHARGE, 2, d),)))], [(1, Diagram(d, 2, ()))])
-    )
-    return cases
-
-
-def _para_isotopy(d: int) -> list[RelationCase]:
+def _para_isotopy(d: int, term: Callable[..., Term]) -> list[RelationCase]:
     z2 = np.exp(2j * np.pi / d)
-    cases = []
-    for k in range(d):
-        for l in range(d):
-            # adjacent strings
-            lhs = Diagram(d, 2, (_gen(CHARGE, 2, l), _gen(CHARGE, 1, k)))
-            rhs = Diagram(d, 2, (_gen(CHARGE, 1, k), _gen(CHARGE, 2, l)))
-            cases.append(RelationCase(f"adjacent k={k},l={l}", [(1, lhs)], [(z2 ** (k * l), rhs)]))
-            # two neutral strings in between
-            lhs4 = Diagram(d, 4, (_gen(CHARGE, 4, l), _gen(CHARGE, 1, k)))
-            rhs4 = Diagram(d, 4, (_gen(CHARGE, 1, k), _gen(CHARGE, 4, l)))
-            cases.append(RelationCase(f"gap k={k},l={l}", [(1, lhs4)], [(z2 ** (k * l), rhs4)]))
-    return cases
+    lower, upper = _shape_of(d, 2, (CHARGE, 2), (CHARGE, 1)), _shape_of(d, 2, (CHARGE, 1), (CHARGE, 2))
+    lower4, upper4 = _shape_of(d, 4, (CHARGE, 4), (CHARGE, 1)), _shape_of(d, 4, (CHARGE, 1), (CHARGE, 4))
+    shapes = {"adjacent": (lower, upper), "gap": (lower4, upper4)}  # gap: two neutral strings in between
+    return [RelationCase(f"{name} k={k},l={l}", [term(1, low, (l, k))], [term(z2 ** (k * l), up, (k, l))])
+            for k in range(d) for l in range(d) for name, (low, up) in shapes.items()]
 
 
-def _twisted_product(d: int) -> list[RelationCase]:
+def _twisted_product(d: int, term: Callable[..., Term]) -> list[RelationCase]:
+    same = _shape_of(d, 2, (MULTICHARGE, (1, 2)))
+    below = _shape_of(d, 2, (CHARGE, 2), (CHARGE, 1))  # k below l
+    above = _shape_of(d, 2, (CHARGE, 1), (CHARGE, 2))  # k above l
+    zeta = _zeta_powers(d)
     cases = []
     for k in range(2 * d):
         for l in range(2 * d):
-            same = Diagram(d, 2, (_gen(MULTICHARGE, items=((1, k), (2, l))),))
-            below = Diagram(d, 2, (_gen(CHARGE, 2, l), _gen(CHARGE, 1, k)))  # k below l
-            above = Diagram(d, 2, (_gen(CHARGE, 1, k), _gen(CHARGE, 2, l)))  # k above l
-            zminus = DiagramScale.of(d, zeta_exp=-k * l).to_complex()
-            zplus = DiagramScale.of(d, zeta_exp=k * l).to_complex()
-            cases.append(RelationCase(f"below k={k},l={l}", [(1, same)], [(zminus, below)]))
-            cases.append(RelationCase(f"above k={k},l={l}", [(1, same)], [(zplus, above)]))
+            lhs = [term(1, same, (l, k))]  # a multicharge's items rightmost first
+            cases.append(RelationCase(f"below k={k},l={l}", lhs, [term(zeta[-k * l % (d * d)], below, (l, k))]))
+            cases.append(RelationCase(f"above k={k},l={l}", lhs, [term(zeta[k * l % (d * d)], above, (k, l))]))
     return cases
 
 
-def _string_fourier(d: int) -> list[RelationCase]:
+def _string_fourier(d: int, term: Callable[..., Term]) -> list[RelationCase]:
+    cap_left, cap_right = _shape_of(d, 0, (CAP, 1), (CHARGE, 1)), _shape_of(d, 0, (CAP, 1), (CHARGE, 2))
+    cup_left, cup_right = _shape_of(d, 2, (CHARGE, 1), (CUP, 1)), _shape_of(d, 2, (CHARGE, 2), (CUP, 1))
     cases = []
     for k in range(d):
-        zk2 = DiagramScale.of(d, zeta_exp=k * k).to_complex()
-        cap_left = Diagram(d, 0, (_gen(CAP, 1), _gen(CHARGE, 1, k)))
-        cap_right = Diagram(d, 0, (_gen(CAP, 1), _gen(CHARGE, 2, k)))
-        cases.append(RelationCase(f"cap k={k}", [(1, cap_left)], [(zk2, cap_right)]))
-        cup_left = Diagram(d, 2, (_gen(CHARGE, 1, k), _gen(CUP, 1)))
-        cup_right = Diagram(d, 2, (_gen(CHARGE, 2, k), _gen(CUP, 1)))
-        cases.append(RelationCase(f"cup k={k}", [(1, cup_left)], [(np.conj(zk2), cup_right)]))
+        zk2 = _zeta_powers(d)[k * k % (d * d)]
+        cases.append(RelationCase(f"cap k={k}", [term(1, cap_left, (k,))], [term(zk2, cap_right, (k,))]))
+        cases.append(RelationCase(f"cup k={k}", [term(1, cup_left, (k,))], [term(np.conj(zk2), cup_right, (k,))]))
     return cases
 
 
-def _quantum_dimension(d: int) -> list[RelationCase]:
-    loop = Diagram(d, 0, (_gen(CAP, 1), _gen(CUP, 1)))
-    return [RelationCase("loop", [(1, loop)], np.array([[np.sqrt(d)]], dtype=complex))]
+def _quantum_dimension(d: int, term: Callable[..., Term]) -> list[RelationCase]:
+    loop = term(1, _shape_of(d, 0, (CAP, 1), (CUP, 1)))
+    return [RelationCase("loop", [loop], np.array([[np.sqrt(d)]], dtype=complex))]
 
 
-def _neutrality(d: int) -> list[RelationCase]:
-    cases = []
-    for k in range(1, d):
-        loop = Diagram(d, 0, (_gen(CAP, 1), _gen(CHARGE, 2, k), _gen(CUP, 1)))
-        cases.append(RelationCase(f"k={k}", [(1, loop)], np.zeros((1, 1), dtype=complex)))
-    full = Diagram(d, 0, (_gen(CAP, 1), _gen(CHARGE, 2, d), _gen(CUP, 1)))
-    cases.append(RelationCase("k=d", [(1, full)], np.array([[np.sqrt(d)]], dtype=complex)))
+def _neutrality(d: int, term: Callable[..., Term]) -> list[RelationCase]:
+    loop = _shape_of(d, 0, (CAP, 1), (CHARGE, 2), (CUP, 1))
+    cases = [RelationCase(f"k={k}", [term(1, loop, (k,))], np.zeros((1, 1), dtype=complex)) for k in range(1, d)]
+    cases.append(RelationCase("k=d", [term(1, loop, (d,))], np.array([[np.sqrt(d)]], dtype=complex)))
     return cases
 
 
-def _temperley_lieb(d: int) -> list[RelationCase]:
-    ident = Diagram(d, 2, ())
-    right = Diagram(d, 2, (_gen(CAP, 2), _gen(CUP, 3)))  # string 2 wiggles right-over
-    left = Diagram(d, 2, (_gen(CAP, 1), _gen(CUP, 2)))  # string 1 wiggles left-over
+def _temperley_lieb(d: int, term: Callable[..., Term]) -> list[RelationCase]:
+    ident = term(1, _shape_of(d, 2))
+    right = term(1, _shape_of(d, 2, (CAP, 2), (CUP, 3)))  # string 2 wiggles right-over
+    left = term(1, _shape_of(d, 2, (CAP, 1), (CUP, 2)))  # string 1 wiggles left-over
     return [
-        RelationCase("zigzag right", [(1, right)], [(1, ident)]),
-        RelationCase("zigzag left", [(1, left)], [(1, ident)]),
+        RelationCase("zigzag right", [right], [ident]),
+        RelationCase("zigzag left", [left], [ident]),
     ]
 
 
-def _resolution_identity(d: int) -> list[RelationCase]:
-    terms = []
-    for k in range(d):
-        term = Diagram(
-            d,
-            2,
-            (_gen(CHARGE, 2, -k), _gen(CUP, 1), _gen(CAP, 1), _gen(CHARGE, 2, k)),
-        )
-        terms.append((d**-0.5, term))
-    return [RelationCase("sum", terms, [(1, Diagram(d, 2, ()))])]
+def _resolution_identity(d: int, term: Callable[..., Term]) -> list[RelationCase]:
+    shape = _shape_of(d, 2, (CHARGE, 2), (CUP, 1), (CAP, 1), (CHARGE, 2))
+    terms = [term(d**-0.5, shape, (-k, k)) for k in range(d)]
+    return [RelationCase("sum", terms, [term(1, _shape_of(d, 2))])]
 
 
-def _braid(d: int) -> list[RelationCase]:
+def _braid(d: int, term: Callable[..., Term]) -> list[RelationCase]:
     norm = 1.0 / sqrt_omega_d(d)
-    pos = builtin("braid_pos", d)
-    charge_terms = []
-    twisted_terms = []
-    for k in range(d):
-        charge_terms.append(
-            (norm, Diagram(d, 2, (_gen(CHARGE, 1, k), _gen(CHARGE, 2, -k))))
-        )
-        zk2 = DiagramScale.of(d, zeta_exp=k * k).to_complex()
-        twisted_terms.append(
-            (norm * zk2, Diagram(d, 2, (_gen(MULTICHARGE, items=((1, k), (2, -k))),)))
-        )
-    both = Diagram(d, 2, (_gen(BRAID_POS, 1), _gen(BRAID_NEG, 1)))
+    pos = term(1, *_builtin("braid_pos", d))
+    pair, twist = _shape_of(d, 2, (CHARGE, 1), (CHARGE, 2)), _shape_of(d, 2, (MULTICHARGE, (1, 2)))
+    charge_terms = [term(norm, pair, (k, -k)) for k in range(d)]
+    twisted_terms = [term(norm * complex(_zeta_powers(d)[k * k % (d * d)]), twist, (-k, k)) for k in range(d)]
+    both = term(1, _shape_of(d, 2, (BRAID_POS, 1), (BRAID_NEG, 1)))
     return [
-        RelationCase("charge sum", [(1, pos)], charge_terms),
-        RelationCase("twisted sum", [(1, pos)], twisted_terms),
-        RelationCase("reidemeister II", [(1, both)], [(1, Diagram(d, 2, ()))]),
+        RelationCase("charge sum", [pos], charge_terms),
+        RelationCase("twisted sum", [pos], twisted_terms),
+        RelationCase("reidemeister II", [both], [term(1, _shape_of(d, 2))]),
     ]
 
 
-def _pauli_diagrams(d: int) -> list[RelationCase]:
-    cases = [RelationCase("I", [(1, builtin("I", d))], np.eye(d, dtype=complex))]
+def _pauli_diagrams(d: int, term: Callable[..., Term]) -> list[RelationCase]:
+    cases = [RelationCase("I", [term(1, *_builtin("I", d))], np.eye(d, dtype=complex))]
     for name in ("X", "Y", "Z"):
-        cases.append(RelationCase(name, [(1, builtin(name, d))], pauli(d, name).mat.copy()))
+        cases.append(RelationCase(name, [term(1, *_builtin(name, d))], pauli(d, name).mat.copy()))
     return cases
 
 
-def _bell_state(d: int) -> list[RelationCase]:
+def _bell_state(d: int, term: Callable[..., Term]) -> list[RelationCase]:
     expected = max_state(d, 2).amps.reshape(-1, 1)
-    return [RelationCase("bell = max(2)", [(1, builtin("bell", d))], expected)]
+    return [RelationCase("bell = max(2)", [term(1, *_builtin("bell", d))], expected)]
 
 
-_BUILDERS: dict[str, Callable[[int], list[RelationCase]]] = {
+_BUILDERS: dict[str, Callable[[int, Callable[..., Term]], list[RelationCase]]] = {
     "additive_charge": _additive_charge,
     "para_isotopy": _para_isotopy,
     "twisted_product": _twisted_product,
@@ -266,28 +208,72 @@ _BUILDERS: dict[str, Callable[[int], list[RelationCase]]] = {
 RELATION_IDS = tuple(_BUILDERS)
 
 
-def _deviations(run: list[RelationCase], batches: dict, evaluate) -> list[float]:
-    """Each case's maximum entrywise deviation under one backend's ``evaluate(shape, batch)``."""
-    values = {id(diag): value.array for shape, batch in batches.items()
-              for diag, value in zip(batch, evaluate(shape, batch))}
-    devs = []
-    for case in run:
-        lhs = _total(case.lhs, values)
-        rhs = _total(case.rhs, values)
-        devs.append(float(abs(lhs - rhs).max()) if lhs.size else 0.0)
-    return devs
+def _runs(cases: list[RelationCase], entries: dict[tuple, int]):
+    """Each run's rows per shape and its same-signature groups of case indices (see the module docstring)."""
+    signatures: list[tuple] = []
+    components: list[tuple[list[int], set]] = []
+    for i, case in enumerate(cases):
+        sides = [None if isinstance(side, np.ndarray) else side for side in (case.lhs, case.rhs)]
+        signatures.append(tuple(side and tuple(shape for _, shape, _ in side) for side in sides))  # None: array
+        keys = {(shape, row) for side in sides if side for _, shape, row in side}
+        if components and not keys.isdisjoint(components[-1][1]):
+            components[-1][0].append(i)
+            components[-1][1].update(keys)
+        else:
+            components.append(([i], keys))
+    classes: dict[tuple, int] = {}  # stable: case order within a class
+    components.sort(key=lambda c: classes.setdefault(tuple(signatures[i] for i in c[0]), len(classes)))
+    rows: dict[tuple, set] = {}
+    groups: dict[tuple, list[int]] = {}
+    for indices, keys in components:
+        counts = Counter(shape for shape, _ in keys)
+        if rows and any((len(rows.get(s, ())) + n) * entries[s] > _CHUNK_ENTRIES for s, n in counts.items()):
+            yield rows, groups
+            rows, groups = {}, {}
+        for shape, row in keys:
+            rows.setdefault(shape, set()).add(row)
+        for i in indices:
+            groups.setdefault(signatures[i], []).append(i)
+    yield rows, groups
+
+
+def _side_values(sides: list[Side], places: dict[tuple, dict[int, int]], values: dict) -> np.ndarray:
+    """Same-signature sides, one value per case: their fixed arrays, or their terms summed left to right."""
+    if isinstance(sides[0], np.ndarray):
+        return np.array(sides)
+    weights = np.array([[weight for weight, _, _ in side] for side in sides], dtype=complex)[..., np.newaxis, np.newaxis]
+    total = None
+    for t, terms in enumerate(zip(*sides)):  # the same term of every side
+        place = places[terms[0][1]]  # each row's place in its batch
+        term = weights[:, t] * values[terms[0][1]][:, [place[row] for _, _, row in terms]]
+        total = term if total is None else total + term
+    return total
 
 
 def check_relation(relation_id: str, d: int, tol: float = 1e-9) -> RelationReport:
-    """Evaluate one relation's cases under both backends, a run at a time (``_chunks``)."""
+    """Evaluate one relation's cases under both backends, a run at a time (``_runs``)."""
     if relation_id not in _BUILDERS:
         raise KeyError(f"unknown relation {relation_id!r}; known: {', '.join(RELATION_IDS)}")
-    reports = []
-    worst = 0.0
-    for run, batches in _chunks(_BUILDERS[relation_id](d)):
-        dense_devs = _deviations(run, batches, dense._evaluate_shape)
-        symbolic_devs = _deviations(run, batches, symbolic._evaluate_shape)
-        for case, dense_dev, symbolic_dev in zip(run, dense_devs, symbolic_devs):
-            worst = max(worst, max(dense_dev, symbolic_dev))
-            reports.append({"case": case.label, "dense_dev": dense_dev, "symbolic_dev": symbolic_dev})
-    return RelationReport(relation_id, d, tuple(reports), worst, worst <= tol)
+    table: dict[tuple, tuple[list, list]] = {}
+    cases = _BUILDERS[relation_id](d, partial(_term, table))
+    matrices = {shape: (np.array(params, dtype=np.int64) % (d * d), np.array(scales, dtype=complex))
+                for shape, (params, scales) in table.items()}
+    entries = {shape: d ** (shape[1] // 2 + _n_out(shape)) for shape in matrices}  # matrix entries per row
+    devs = np.zeros((2, len(cases)))
+    for rows, groups in _runs(cases, entries):
+        places = {shape: {row: j for j, row in enumerate(sorted(r))} for shape, r in rows.items()}
+        batches = {shape: [column if len(place) == len(column) else column[list(place)] for column in matrices[shape]]
+                   for shape, place in places.items()}
+        # every dense batch first, while little else is held: its operator stacks are the largest arrays
+        held = {shape: dense._evaluate_shape(shape, *batch) for shape, batch in batches.items()}
+        values = {shape: np.array([held.pop(shape), symbolic._evaluate_shape(shape, *batch)])
+                  for shape, batch in batches.items()}  # per shape: (backend, row, out, in)
+        for indices in groups.values():
+            lhs = _side_values([cases[i].lhs for i in indices], places, values)
+            rhs = _side_values([cases[i].rhs for i in indices], places, values)
+            devs[:, indices] = abs(lhs - rhs).max(axis=(2, 3))
+        del values, lhs, rhs  # before the next run is evaluated
+    reports = tuple({"case": case.label, "dense_dev": dense_dev, "symbolic_dev": symbolic_dev}
+                    for case, dense_dev, symbolic_dev in zip(cases, *devs.tolist()))
+    worst = float(devs.max(initial=0.0))
+    return RelationReport(relation_id, d, reports, worst, worst <= tol)

@@ -28,17 +28,19 @@ parameter per constant charge), and a single reduction over forms yields
   between its parameters, and
 * one linear form per loop, its total charge, which must vanish mod d.
 
-The evaluator takes a batch of diagrams that share one shape, and
-``evaluate_symbolic`` is a batch of one.  Each diagram fills one row of
-parameters with its charges mod d*d.  An entry's braid term is then
-exactly sqrt(d)**L * zeta**Q, or 0 when some loop is not neutral; all
-d**(n_in+n_out) entries of every diagram of the batch for one braid term
-come from one numpy evaluation, summed over the terms in the same order
-for a batch as for one diagram.  Neutrality compares each entry's label
-residues mod d, one per loop and computed once per shape, with minus
-each diagram's loop totals mod d; no array over the entries is reduced
-mod d.  The only numeric constant is the braid normalizer
-1/sqrt(omega*d), one factor per braid, common to all terms.
+The evaluator takes one shape and a batch of charge rows (``ir._params``)
+and scales; ``evaluate_symbolic`` is a batch of one.  A row fills the
+parameters with its charges mod 2d, which keeps every product far inside
+int64 and changes no value: Q moves by multiples of 2d, which the order of
+zeta divides, and each loop total by multiples of d.  An entry's braid term
+is then exactly sqrt(d)**L * zeta**Q, or 0 when some loop is not neutral;
+all d**(n_in+n_out) entries of every row of the batch for one braid term
+come from one numpy evaluation, summed over the terms in the same order for
+a batch as for one diagram.  Neutrality compares each entry's label
+residues mod d, one per loop and computed once per shape, with minus each
+row's loop totals mod d; no array over the entries is reduced mod d.  The
+only numeric constant is the braid normalizer 1/sqrt(omega*d), one factor
+per braid, common to all terms.
 
 The reduction works on a token list ordered top to bottom.  Columns (the
 static vertical string segments found by ``ir.trace_strands``) carry a
@@ -70,6 +72,7 @@ from .ir import (
     DiagramError,
     Generator,
     _SHAPE_CACHE_SIZE,
+    _n_out,
     _params,
     _shape,
     _shape_diagram,
@@ -302,11 +305,13 @@ def closed_value(diag: Diagram) -> PhaseExponent:
     if diag.has_braids():
         raise DiagramError("closed_value is exact-only; braided diagrams need evaluate_symbolic")
     quad, _, loops, _ = _compile(_shape(diag))
-    y = np.array((1,) + _params(diag), dtype=np.int64)
-    if np.any(loops @ y % diag.d):
+    y = (1,) + _params(diag)
+    # loops @ y and quad @ y in Python ints: y @ quad @ y outgrows int64 once d**4 does
+    forms = [sum(a * b for a, b in zip(row, y)) for row in loops.tolist() + quad.tolist()]
+    if any(total % diag.d for total in forms[: len(loops)]):
         value = PhaseExponent.zero(diag.d)
     else:
-        value = PhaseExponent(diag.d, int(y @ quad @ y), len(loops))
+        value = PhaseExponent(diag.d, sum(a * b for a, b in zip(forms[len(loops) :], y)), len(loops))
     total = value * diag.scale.phase
     if diag.scale.quarter:
         if diag.scale.quarter % 2:
@@ -321,14 +326,14 @@ def _phase_table(d: int, loops: int) -> np.ndarray:
     return _frozen(_zeta_powers(d) * d ** (loops / 2))
 
 
-def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
-    """Entrywise symbolic values of a batch of diagrams that share one charge-free shape.
+def _evaluate_shape(shape: tuple, params: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Entrywise symbolic values (batch, d**n_out, d**n_in) of one shape, per charge row and scale.
 
-    Each diagram is one row of the variable vectors y, so every entry of
-    every diagram comes from the same table lookups, summed over the braid
-    terms in the same order.
+    Each charge row is one row of the variable vectors y, so every entry
+    of every value comes from the same table lookups, summed over the
+    braid terms in the same order.
     """
-    d, n_in, n_out = shape[0], shape[1] // 2, diags[0].bottom // 2
+    d, n_in, n_out = shape[0], shape[1] // 2, _n_out(shape)
     n = n_in + n_out
     braiding = 1.0 + 0j
     for kind, _, _ in shape[2]:
@@ -336,15 +341,16 @@ def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
             w = 1.0 / sqrt_omega_d(d)
             braiding *= w if kind == BRAID_POS else np.conj(w)
     closing = float(d) ** (-(n_in + n_out) / 4)  # d**(-1/4) per cap and cup that close the diagram
-    numeric = np.array([braiding * (diag.scale.to_complex() * closing) for diag in diags])
+    numeric = np.array([braiding * (s * closing) for s in scales.tolist()])
 
     quad, _, loops, braids = _compile(shape)
     label_quad, residues, mix = _label_forms(shape, n)
     labels = _label_grid(d, n)
     table = _phase_table(d, len(loops))
     v, l = len(quad), len(loops)
-    y = np.array([(1,) + (0,) * (n + braids) + _params(diag) for diag in diags], dtype=np.int64)
-    acc = np.zeros((len(diags), d**n), dtype=complex)
+    y = np.zeros((len(params), 1 + n + braids + params.shape[1]), dtype=np.int64)
+    y[:, 0], y[:, 1 + n + braids :] = 1, params % (2 * d)
+    acc = np.zeros((len(params), d**n), dtype=complex)
     for choice in itertools.product(range(d), repeat=braids):
         y[:, 1 + n : 1 + n + braids] = choice
         m = y @ mix
@@ -354,10 +360,11 @@ def _evaluate_shape(shape: tuple, diags: list[Diagram]) -> list[DiagramValue]:
         exponent += (m[:, :v] * y).sum(axis=1)[:, None]
         exponent %= d * d
         np.add(acc, table[exponent], out=acc, where=neutral)  # acc is never -0.0: adding 0 would change nothing
-    values = numeric[:, None, None] * acc.reshape(len(diags), d**n_out, d**n_in)
-    return [DiagramValue(d, n_in, n_out, each) for each in values]
+    return numeric[:, None, None] * acc.reshape(len(params), d**n_out, d**n_in)
 
 
 def evaluate_symbolic(diag: Diagram) -> DiagramValue:
     """Entrywise symbolic value of a diagram, as a qudit-basis matrix: a batch of one."""
-    return _evaluate_shape(_shape(diag), [diag])[0]
+    values = _evaluate_shape(_shape(diag), np.array([_params(diag)], dtype=np.int64),
+                             np.array([diag.scale.to_complex()]))
+    return DiagramValue(diag.d, diag.n_in, diag.n_out, values[0])

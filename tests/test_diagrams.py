@@ -191,6 +191,23 @@ def test_closed_value_rejects_braids_and_boundaries():
         closed_value(braided)
 
 
+@pytest.mark.parametrize("d", [5, 6, 2**20 + 1])
+def test_closed_value_is_exact_past_int64(d):
+    """Two neutral loops whose exact zeta exponent outgrows int64 at d = 2**20 + 1.
+
+    Caps at 1 and 3 carry k, -k, k, -k on strings 1..4, k = floor(3d**2/7).
+    Each loop's left charge crosses its cap at zeta**(k*k) (string
+    Fourier), and the exchanges with the other, neutral loop cancel, so
+    the value is zeta**(2k*k) * d.
+    """
+    k = 3 * d * d // 7
+    charges = tuple(Generator(CHARGE, p, k=k if p % 2 else -k) for p in range(1, 5))
+    loops = Diagram(d, 0, (Generator(CAP, 1), Generator(CAP, 3)) + charges + (Generator(CUP, 3), Generator(CUP, 1)))
+    assert closed_value(loops) == PhaseExponent(d, 2 * k * k, 2)
+    if d < 10:
+        assert evaluate_dense(loops).scalar() == pytest.approx(PhaseExponent(d, 2 * k * k, 2).to_complex())
+
+
 def _charge_reference(t, s, k, d):
     """c_s(k) on the string axes of t, read off its definition.
 
@@ -213,12 +230,12 @@ def _frame_on(t, diag):
     steps absorb the frame of string pairs (1, 2), (3, 4) and (5, 6).
     """
     from paradiag.diagrams import dense
-    from paradiag.diagrams.ir import _shape
+    from paradiag.diagrams.ir import _params, _shape
 
     d, plan = diag.d, dense._plan(_shape(diag))
     acts = [act for _, _, act in plan.steps if act is not None]
     assert len(acts) == 3  # every string's frame is absorbed once
-    e, digits = dense._frame(plan, [diag])
+    e, digits = dense._frame(plan, diag.d, np.array([_params(diag)], dtype=np.int64))
     out = t * dense._zeta_powers(d)[e[0]]
     for p, (_, _, key) in zip((1, 3, 5), acts):
         if key is not None:  # else no charge reached the pair
@@ -264,10 +281,10 @@ def _frame_walk(diag):
 
 def _assert_frame_matches_walk(diag):
     from paradiag.diagrams import dense
-    from paradiag.diagrams.ir import _shape
+    from paradiag.diagrams.ir import _params, _shape
 
     d, plan = diag.d, dense._plan(_shape(diag))
-    e, digits = dense._frame(plan, [diag])
+    e, digits = dense._frame(plan, diag.d, np.array([_params(diag)], dtype=np.int64))
     keys = [act[2] for _, _, act in plan.steps if act is not None]
     got = [(0,) * 4 if key is None else tuple(int(x) for x in digits[:, key, 0]) for key in keys]
     want_e, want = _frame_walk(diag)
@@ -366,7 +383,7 @@ ABSORB_CASES = {
 def test_dense_absorb_points_agree_entrywise(build, kind, count, d):
     """Each absorber takes a charged frame on both strings; dense = symbolic entrywise."""
     from paradiag.diagrams import dense
-    from paradiag.diagrams.ir import _shape
+    from paradiag.diagrams.ir import _params, _shape
 
     diag = build(d)
     for s in diag.slices:  # the twist -sum_{i<j} k_i k_j is off 0 mod d*d
@@ -374,7 +391,7 @@ def test_dense_absorb_points_agree_entrywise(build, kind, count, d):
         assert s.kind != MULTICHARGE or sum(x * y for i, x in enumerate(ks) for y in ks[i + 1:]) % (d * d)
     kinds = {(1, d * d): "cup", (d * d, d * d): "braid", (d, d * d): "output"}
     plan = dense._plan(_shape(diag))
-    _, digits = dense._frame(plan, [diag])
+    _, digits = dense._frame(plan, diag.d, np.array([_params(diag)], dtype=np.int64))
     seen = []
     for _, _, act in plan.steps:  # the frame digits a1, b1, a2, b2 a step's operator absorbs
         if act is not None and act[2] is not None:
@@ -680,7 +697,7 @@ def test_drawn_stacking_composes(data, d):
 def test_batch_equals_its_batches_of_one(data, d, seed):
     """A drawn diagram and recharged, rescaled twins of it: each value of the batch is the value alone."""
     from paradiag.diagrams import dense, symbolic
-    from paradiag.diagrams.ir import _shape
+    from paradiag.diagrams.ir import _params, _shape
 
     rng = np.random.default_rng(seed)
     first = data.draw(diagrams(d))
@@ -691,19 +708,20 @@ def test_batch_equals_its_batches_of_one(data, d, seed):
         return Diagram(d, again.top, again.slices, scale)
 
     batch = [first] + [twin() for _ in range(data.draw(st.integers(1, 6)))]
-    values = symbolic._evaluate_shape(_shape(first), batch)
+    params = np.array([_params(diag) for diag in batch], dtype=np.int64)
+    scales = np.array([diag.scale.to_complex() for diag in batch])
+    values = symbolic._evaluate_shape(_shape(first), params, scales)
     assert len(values) == len(batch)
     for value, diag in zip(values, batch):  # in input order
         alone = evaluate_symbolic(diag)
-        assert (value.n_in, value.n_out) == (alone.n_in, alone.n_out)
-        assert value.array.shape == alone.array.shape and value.array.tobytes() == alone.array.tobytes()
-    values = dense._evaluate_shape(_shape(first), batch)
+        assert value.shape == alone.array.shape == (d**alone.n_out, d**alone.n_in)
+        assert value.tobytes() == alone.array.tobytes()
+    values = dense._evaluate_shape(_shape(first), params, scales)
     assert len(values) == len(batch)
     for value, diag in zip(values, batch):
         alone = evaluate_dense(diag)
-        assert (value.n_in, value.n_out) == (alone.n_in, alone.n_out)
-        assert value.array.shape == alone.array.shape
-        assert np.max(np.abs(value.array - alone.array), initial=0.0) <= 1e-14
+        assert value.shape == alone.array.shape == (d**alone.n_out, d**alone.n_in)
+        assert np.max(np.abs(value - alone.array), initial=0.0) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from collections import Counter
+from functools import partial
+
 import pytest
 
 from paradiag.diagrams import RELATION_IDS, check_relation
-from paradiag.diagrams.ir import _shape
 
 
 def test_relation_catalogue_is_complete():
@@ -54,65 +55,79 @@ def test_report_dict_shape():
 
 
 def _spy_batches(monkeypatch):
-    """Record each batch of diagrams an evaluator gets, per backend."""
+    """Record each call an evaluator gets, per backend: its shape, charge rows, scales and value entries."""
     from paradiag.diagrams import dense, symbolic
 
     calls = {"dense": [], "symbolic": []}
     for backend, module in (("dense", dense), ("symbolic", symbolic)):
-        def spy(shape, diags, evaluate=module._evaluate_shape, seen=calls[backend]):
-            seen.append(list(diags))
-            return evaluate(shape, diags)
+        def spy(shape, params, scales, evaluate=module._evaluate_shape, seen=calls[backend]):
+            values = evaluate(shape, params, scales)
+            seen.append((shape, params.copy(), scales.copy(), values.size))
+            return values
 
         monkeypatch.setattr(module, "_evaluate_shape", spy)
     return calls
 
 
+def _evaluated_rows(batches) -> Counter:
+    """How often each (shape, charge row, scale) was evaluated."""
+    return Counter((shape, tuple(row), scale) for shape, params, scales, _ in batches
+                   for row, scale in zip(params.tolist(), scales.tolist()))
+
+
+def _built_rows(relation: str, d: int) -> Counter:
+    """The rows a relation's builder makes, each (shape, charge row mod d*d, scale)."""
+    from paradiag.diagrams import relations
+
+    rows: dict = {}
+    relations._BUILDERS[relation](d, partial(relations._term, rows))
+    return Counter((shape, tuple(k % (d * d) for k in charges), complex(scale))
+                   for shape, (params, scales) in rows.items() for charges, scale in zip(params, scales))
+
+
 def test_twisted_product_evaluates_shared_diagrams_once(monkeypatch):
-    """Each (k, l) has its same, below and above diagrams: 108 evaluations at d = 3, not 144."""
+    """Each (k, l) has its same, below and above rows: 108 evaluations at d = 3, not 144."""
     calls = _spy_batches(monkeypatch)
     assert check_relation("twisted_product", 3).passed
     for batches in calls.values():
-        evaluated = [id(diag) for batch in batches for diag in batch]
-        assert len(evaluated) == len(set(evaluated)) == 108
+        evaluated = _evaluated_rows(batches)
+        assert sum(evaluated.values()) == len(evaluated) == 108
 
 
 @pytest.mark.parametrize("relation", RELATION_IDS)
 def test_check_relation_evaluates_each_distinct_diagram_once(monkeypatch, relation):
-    """Per backend, every distinct diagram of the built cases is evaluated exactly once, at every d."""
-    from paradiag.diagrams import relations
-
+    """Per backend, every row of the built charge matrices is evaluated exactly once, at every d."""
     for d in range(2, 9):
-        cases = relations._BUILDERS[relation](d)
-        distinct = {id(diag) for case in cases for side in (case.lhs, case.rhs)
-                    if not isinstance(side, np.ndarray) for _, diag in side}
-        monkeypatch.setitem(relations._BUILDERS, relation, lambda _, cases=cases: cases)
         calls = _spy_batches(monkeypatch)
         assert check_relation(relation, d).passed
         for batches in calls.values():
-            evaluated = [id(diag) for batch in batches for diag in batch]
-            assert sorted(evaluated) == sorted(distinct), (relation, d)
-            assert all(len({_shape(diag) for diag in batch}) == 1 for batch in batches)
+            assert _evaluated_rows(batches) == _built_rows(relation, d), (relation, d)
         monkeypatch.undo()
 
 
 def test_relation_chunks_stay_under_the_entry_bound(monkeypatch):
-    """No run of cases, and so no batch an evaluator gets, holds more matrix entries than the bound."""
+    """No evaluator call, each of one shape, holds more matrix entries than the bound."""
     from paradiag.diagrams import relations
 
-    chunks, runs = relations._chunks, []
-
-    def spy(cases):
-        for run, batches in chunks(cases):
-            runs.append(sum(diag.d ** (diag.n_in + diag.n_out) for batch in batches.values() for diag in batch))
-            yield run, batches
-
-    monkeypatch.setattr(relations, "_chunks", spy)
     calls = _spy_batches(monkeypatch)
+    per_shape = Counter()
     for d in range(2, 9):
         for relation in RELATION_IDS:
+            before = len(calls["dense"])
             check_relation(relation, d)
-    assert max(runs) <= relations._CHUNK_ENTRIES
-    assert max(runs) > relations._CHUNK_ENTRIES // 2  # the bound is reached, so it splits the suite
-    assert len(runs) > len(RELATION_IDS) * 7  # some relation takes more than one run
-    batches = calls["dense"] + calls["symbolic"]
-    assert max(sum(diag.d ** (diag.n_in + diag.n_out) for diag in batch) for batch in batches) <= max(runs)
+            per_shape.update((relation, shape) for shape, *_ in calls["dense"][before:])
+    sizes = [size for batches in calls.values() for *_, size in batches]
+    assert max(sizes) <= relations._CHUNK_ENTRIES
+    assert max(sizes) > relations._CHUNK_ENTRIES // 2  # the bound is reached, so it splits the suite
+    assert max(per_shape.values()) > 1  # some shape takes more than one call
+
+
+def test_para_isotopy_gap_shapes_share_batches(monkeypatch):
+    """At d = 8 a gap row holds d**4 entries: two fit one call, and each adjacent shape takes one call."""
+    calls = _spy_batches(monkeypatch)
+    assert check_relation("para_isotopy", 8).passed
+    for batches in calls.values():
+        gap = [len(params) for shape, params, *_ in batches if shape[1] == 4]
+        adjacent = [len(params) for shape, params, *_ in batches if shape[1] == 2]
+        assert len(gap) == 64 and min(gap) == 2  # 2 shapes x 64 rows, two at a time
+        assert adjacent == [64, 64]

@@ -114,7 +114,8 @@ def _eval_bytes(diag: Diagram, backend: str) -> int:
     plan) or the n_in + n_out of the final value, and three arrays of
     ``peak`` axes for the operators it caches on first use: the braid
     gates of both handednesses (4 axes), the one-pair isometry and its
-    adjoint (3 axes each), and tables of d*d entries.  Symbolic, in rows of
+    adjoint (3 axes each), the cap, cup and digit tables of d*d entries and
+    the zeta table of 2d.  Symbolic, in rows of
     one value per entry of the d**n_out x d**n_in matrix: as
     int64 rows, the n-row label grid and the two n-row products that build
     its quadratic part, the cached quadratic row and loop rows, two

@@ -117,7 +117,6 @@ from .ir import (
     _n_out,
     _params,
     _shape,
-    _shape_diagram,
     turn_excess,
 )
 
@@ -156,9 +155,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _zeta_powers(d: int) -> np.ndarray:
-    """zeta**e for e < d*d, each from its exactly reduced angle."""
-    return _frozen(np.array([PhaseExponent(d, e).to_complex() for e in range(d * d)]))
+def _zeta_table(d: int) -> np.ndarray:
+    """zeta**e for e < 2d, each from its exactly reduced angle: the order of zeta, d or 2d, divides 2d."""
+    return _frozen(np.array([PhaseExponent(d, e).to_complex() for e in range(2 * d)]))
+
+
+def _zeta(d: int, e):
+    """zeta**e for an integer or an integer array e, looked up in ``_zeta_table``."""
+    return _zeta_table(d)[e % (2 * d)]
 
 
 def _digit_sums(d: int, n: int, power: int = 1) -> np.ndarray:
@@ -174,7 +178,7 @@ def _cap_vector(d: int) -> np.ndarray:
     """The cap d**(-1/4) * sum_m zeta**(m*m) |m, -m> as a length-d*d vector."""
     m = np.arange(d)
     cap = np.zeros((d, d), dtype=complex)
-    cap[m, -m % d] = _zeta_powers(d)[m * m] * d**-0.25
+    cap[m, -m % d] = _zeta(d, m * m) * d**-0.25
     return _frozen(cap.reshape(d * d))
 
 
@@ -187,7 +191,7 @@ def pair_isometry(d: int) -> np.ndarray:
     """
     m, k = np.arange(d)[:, None], np.arange(d)[None, :]
     iso = np.zeros((d * d, d), dtype=complex)
-    iso[m * d + (k - m) % d, k] = d**-0.5 * _zeta_powers(d)[(m * m - 2 * k * m) % (d * d)]
+    iso[m * d + (k - m) % d, k] = d**-0.5 * _zeta(d, m * m - 2 * k * m)
     return _frozen(iso)
 
 
@@ -222,7 +226,7 @@ def _order_phases(d: int, n: int) -> np.ndarray:
     order (qudit 1 highest) produces when the clock tails of later charges
     sweep earlier pairs.  As a zeta exponent it is (sum k)**2 - sum k**2.
     """
-    return _frozen(_zeta_powers(d)[(_digit_sums(d, n) ** 2 - _digit_sums(d, n, 2)) % (d * d)])
+    return _frozen(_zeta(d, _digit_sums(d, n) ** 2 - _digit_sums(d, n, 2)))
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +247,7 @@ def _pauli_pairs(d: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = (m + x[0::2]) % d
     exponent = (m * x[1::2]).sum(axis=0)
     shape = digits.shape[1:] + (d * d,)
-    return (rows[0] * d + rows[1]).reshape(shape), _zeta_powers(d)[2 * exponent % (d * d)].reshape(shape)
+    return (rows[0] * d + rows[1]).reshape(shape), _zeta(d, 2 * exponent).reshape(shape)
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +266,7 @@ def _braid_gate(d: int, positive: bool) -> np.ndarray:
     idx, ph = _pauli_pairs(d, np.array([x, x, -x % d, 0 * k]))
     gate = np.zeros((d * d, d * d), dtype=complex)
     e = 2 * k * k if positive else 0 * k
-    gate[idx, np.arange(d * d)] = ph * _zeta_powers(d)[e % (d * d)][:, np.newaxis]
+    gate[idx, np.arange(d * d)] = ph * _zeta(d, e)[:, np.newaxis]
     norm = 1.0 / sqrt_omega_d(d)
     gate *= norm if positive else np.conj(norm)
     return _frozen(gate)
@@ -383,11 +387,9 @@ def _plan(shape: tuple) -> _Plan:
     steps += [(live[0], merge(live[0], g), None) for g in live[1:]]
     c = cols[live[0]] if live else ()
     order = (0, 1) + tuple(2 + c.index(j) for j in range(len(c))) if list(c) != sorted(c) else None
-    bent = any(kind in (CAP, CUP) for kind, _, _ in slices)  # else every strand is straight: no excess turns
-    excess = turn_excess(_shape_diagram(shape)) if bent else 0
     frame = _frozen(np.array(entries, dtype=np.int64).reshape(-1, 5).T.copy())
     bounds = _frozen(np.array(windows, dtype=np.int64).reshape(-1, 2, 2).transpose(2, 1, 0).copy())
-    return _Plan(len(cols) - top // 2, tuple(steps), frame, bounds, order, excess, peak)
+    return _Plan(len(cols) - top // 2, tuple(steps), frame, bounds, order, turn_excess(shape), peak)
 
 
 def _run(facs: list, step: tuple, mat: np.ndarray | None) -> None:
@@ -432,7 +434,7 @@ def _evaluate_shape(shape: tuple, params: np.ndarray, scales: np.ndarray) -> np.
     plan = _plan(shape)
     e, digits = _frame(plan, d, params)
     per = max(1, d ** (plan.peak - 2))  # keyed steps whose pairs hold no more entries than the largest factor
-    facs: list = [_input_pair(d)[np.newaxis]] * n_in + [_cap_pair(d)[np.newaxis]] * plan.caps
+    facs: list = [_input_pair(d)[np.newaxis] for _ in range(n_in)] + [_cap_pair(d)[np.newaxis]] * plan.caps
     for step in plan.steps:
         mat = None
         if step[2] is not None:
@@ -447,7 +449,7 @@ def _evaluate_shape(shape: tuple, params: np.ndarray, scales: np.ndarray) -> np.
         _run(facs, step, mat)
     tensor = next((x for x in facs if x is not None), None)  # all merged into one, if any
     root = float(d) ** (plan.excess / 4)
-    scale = np.array([root * (s * z) for s, z in zip(scales.tolist(), _zeta_powers(d)[e].tolist())])
+    scale = np.array([root * (s * z) for s, z in zip(scales.tolist(), _zeta(d, e).tolist())])
     scale = scale[:, np.newaxis, np.newaxis]  # per row, output label and column
     if n_out > 1:  # the order phase of a single label is 1
         scale = scale * _order_phases(d, n_out)[:, np.newaxis]

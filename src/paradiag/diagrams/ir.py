@@ -209,13 +209,6 @@ def _params(diag: Diagram) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _shape_diagram(shape: tuple) -> Diagram:
-    """The diagram of a shape with every charge zero and unit scale."""
-    d, top, slices = shape
-    return Diagram(d, top, tuple(Generator(kind, pos, items=tuple((p, 0) for p in ps))
-                                 for kind, pos, ps in slices))
-
-
 def _int_field(value: object, what: str) -> int:
     """``value`` if it is a JSON integer, not a float or a boolean."""
     if type(value) is not int:
@@ -323,22 +316,21 @@ def mirror(diag: Diagram) -> Diagram:
 
 # --- strand topology -------------------------------------------------------
 #
-# Both evaluators need the strand structure: the symbolic engine to know
-# left/right column order and cap/cup legs, the dense one to count turns.
-# Braids do not change connectivity (their expansion is charges on parallel
-# strings), so they are transparent here.
+# Both evaluators need the strand structure of a charge-free shape: the
+# symbolic engine to know left/right column order and cap/cup legs, the
+# dense one to count turns.  Braids do not change connectivity (their
+# expansion is charges on parallel strings), so they are transparent here.
 
 
 @dataclass
 class StrandTrace:
-    """Column-level topology of a diagram.
+    """Column-level topology of a shape.
 
     Columns are maximal vertical string segments; ids are allocated in
-    discovery order.  ``key`` gives a static horizontal order: coexisting
-    columns always compare consistently.
+    discovery order, the top boundary's strings first.  ``key`` gives a
+    static horizontal order: coexisting columns always compare consistently.
     """
 
-    top_cols: list[int]
     bottom_cols: list[int]
     key: dict[int, Fraction]
     cap_legs: dict[int, tuple[int, int]]  # slice index -> (left col, right col)
@@ -346,9 +338,11 @@ class StrandTrace:
     charge_cols: dict[int, int]  # slice index -> column (single-charge slices)
 
 
-def trace_strands(diag: Diagram) -> StrandTrace:
-    frontier: list[int] = list(range(diag.top))
-    next_id = diag.top
+def trace_strands(shape: tuple) -> StrandTrace:
+    """The column topology of a charge-free shape (``_shape``)."""
+    _, top, slices = shape
+    frontier: list[int] = list(range(top))
+    next_id = top
     key: dict[int, Fraction] = {i: Fraction(i) for i in frontier}
     cap_legs: dict[int, tuple[int, int]] = {}
     cup_legs: dict[int, tuple[int, int]] = {}
@@ -362,22 +356,21 @@ def trace_strands(diag: Diagram) -> StrandTrace:
         step = (hi - lo) / 3
         return lo + step, lo + 2 * step
 
-    for i, s in enumerate(diag.slices):
-        if s.kind == CAP:
+    for i, (kind, pos, _) in enumerate(slices):
+        if kind == CAP:
             a, b = next_id, next_id + 1
             next_id += 2
-            ka, kb = key_between(s.pos)
+            ka, kb = key_between(pos)
             key[a], key[b] = ka, kb
-            frontier[s.pos - 1 : s.pos - 1] = [a, b]
+            frontier[pos - 1 : pos - 1] = [a, b]
             cap_legs[i] = (a, b)
-        elif s.kind == CUP:
-            a, b = frontier[s.pos - 1], frontier[s.pos]
-            del frontier[s.pos - 1 : s.pos + 1]
+        elif kind == CUP:
+            a, b = frontier[pos - 1], frontier[pos]
+            del frontier[pos - 1 : pos + 1]
             cup_legs[i] = (a, b)
-        elif s.kind == CHARGE:
-            charge_cols[i] = frontier[s.pos - 1]
+        elif kind == CHARGE:
+            charge_cols[i] = frontier[pos - 1]
     return StrandTrace(
-        top_cols=list(range(diag.top)),
         bottom_cols=list(frontier),
         key=key,
         cap_legs=cap_legs,
@@ -386,14 +379,14 @@ def trace_strands(diag: Diagram) -> StrandTrace:
     )
 
 
-def turn_excess(diag: Diagram) -> int:
-    """Caps+cups of the matrix-entry closure beyond the minimum its topology needs.
+def turn_excess(shape: tuple) -> int:
+    """Caps+cups of a shape's matrix-entry closure beyond the minimum its topology needs.
 
     The qudit pairs (2i-1, 2i) on both boundaries are capped off first, as
     in the matrix-entry closures, so every strand is a loop and needs two
     turns: the excess is the arc count less twice the loop count, always even.
     """
-    trace = trace_strands(diag)
+    trace = trace_strands(shape)
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -403,7 +396,7 @@ def turn_excess(diag: Diagram) -> int:
         return x
 
     arcs = list(trace.cap_legs.values()) + list(trace.cup_legs.values())
-    for cols in (trace.top_cols, trace.bottom_cols):
+    for cols in (range(shape[1]), trace.bottom_cols):  # the top columns are 0 .. top - 1
         arcs.extend((cols[2 * i], cols[2 * i + 1]) for i in range(len(cols) // 2))
     for a, b in arcs:
         parent[find(a)] = find(b)

@@ -36,7 +36,7 @@ from ..algebra import max_state, pauli
 from ..scalars import sqrt_omega_d
 from . import dense, symbolic
 from .builtins import builtin
-from .dense import _zeta_powers
+from .dense import _zeta
 from .ir import (BRAID_NEG, BRAID_POS, CAP, CHARGE, CUP, MULTICHARGE, Diagram, Generator, _SHAPE_CACHE_SIZE, _n_out,
                  _params, _shape)
 
@@ -116,13 +116,12 @@ def _twisted_product(d: int, term: Callable[..., Term]) -> list[RelationCase]:
     same = _shape_of(d, 2, (MULTICHARGE, (1, 2)))
     below = _shape_of(d, 2, (CHARGE, 2), (CHARGE, 1))  # k below l
     above = _shape_of(d, 2, (CHARGE, 1), (CHARGE, 2))  # k above l
-    zeta = _zeta_powers(d)
     cases = []
     for k in range(2 * d):
         for l in range(2 * d):
             lhs = [term(1, same, (l, k))]  # a multicharge's items rightmost first
-            cases.append(RelationCase(f"below k={k},l={l}", lhs, [term(zeta[-k * l % (d * d)], below, (l, k))]))
-            cases.append(RelationCase(f"above k={k},l={l}", lhs, [term(zeta[k * l % (d * d)], above, (k, l))]))
+            cases.append(RelationCase(f"below k={k},l={l}", lhs, [term(_zeta(d, -k * l), below, (l, k))]))
+            cases.append(RelationCase(f"above k={k},l={l}", lhs, [term(_zeta(d, k * l), above, (k, l))]))
     return cases
 
 
@@ -131,7 +130,7 @@ def _string_fourier(d: int, term: Callable[..., Term]) -> list[RelationCase]:
     cup_left, cup_right = _shape_of(d, 2, (CHARGE, 1), (CUP, 1)), _shape_of(d, 2, (CHARGE, 2), (CUP, 1))
     cases = []
     for k in range(d):
-        zk2 = _zeta_powers(d)[k * k % (d * d)]
+        zk2 = _zeta(d, k * k)
         cases.append(RelationCase(f"cap k={k}", [term(1, cap_left, (k,))], [term(zk2, cap_right, (k,))]))
         cases.append(RelationCase(f"cup k={k}", [term(1, cup_left, (k,))], [term(np.conj(zk2), cup_right, (k,))]))
     return cases
@@ -170,7 +169,7 @@ def _braid(d: int, term: Callable[..., Term]) -> list[RelationCase]:
     pos = term(1, *_builtin("braid_pos", d))
     pair, twist = _shape_of(d, 2, (CHARGE, 1), (CHARGE, 2)), _shape_of(d, 2, (MULTICHARGE, (1, 2)))
     charge_terms = [term(norm, pair, (k, -k)) for k in range(d)]
-    twisted_terms = [term(norm * complex(_zeta_powers(d)[k * k % (d * d)]), twist, (-k, k)) for k in range(d)]
+    twisted_terms = [term(norm * complex(_zeta(d, k * k)), twist, (-k, k)) for k in range(d)]
     both = term(1, _shape_of(d, 2, (BRAID_POS, 1), (BRAID_NEG, 1)))
     return [
         RelationCase("charge sum", [pos], charge_terms),

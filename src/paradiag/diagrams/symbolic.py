@@ -17,10 +17,11 @@ relations themselves:
 
 Which charges move, and where fused caps go, depends only on the column
 topology, never on charge values.  So each charge-free shape (``ir._shape``)
-is compiled once, with its charges as parameters: every charge of the
-closed template is an integer affine form in the variables (the output
-labels, the input labels, one summation variable per braid and one
-parameter per constant charge), and a single reduction over forms yields
+is compiled once, on shapes throughout, with its charges as parameters:
+every charge of the closed template, a shape of caps, cups and charges, is
+an integer form (variable, coefficient) in the variables (the output labels,
+the input labels, one summation variable per braid and one parameter per
+constant charge), and a single reduction over forms yields
 
 * the number L of removed loops,
 * an integer quadratic form Q, the zeta exponent (q = zeta**2), into which
@@ -45,7 +46,8 @@ per braid, common to all terms.
 The reduction works on a token list ordered top to bottom.  Columns (the
 static vertical string segments found by ``ir.trace_strands``) carry a
 fixed horizontal order, so the q-phase of an exchange only needs the two
-column keys; connectivity changes (zig-zag fusion) never disturb it.
+column keys; connectivity changes (zig-zag fusion) never disturb it.  Loop
+removal and zig-zag fusion share one rewrite, which clears legs of charges.
 Termination: every iteration deletes one cup.
 """
 
@@ -59,7 +61,7 @@ import numpy as np
 
 from ..scalars import PhaseExponent, sqrt_omega_d
 from .builtins import _bra_slices, _ket_slices
-from .dense import DiagramValue, _frozen, _zeta_powers
+from .dense import DiagramValue, _frozen, _zeta_table
 from .ir import (
     BRAID_NEG,
     BRAID_POS,
@@ -70,12 +72,10 @@ from .ir import (
     STRAND,
     Diagram,
     DiagramError,
-    Generator,
     _SHAPE_CACHE_SIZE,
     _n_out,
     _params,
     _shape,
-    _shape_diagram,
     trace_strands,
 )
 
@@ -85,23 +85,22 @@ __all__ = ["closed_value", "evaluate_symbolic"]
 # --- the closed template ----------------------------------------------------
 
 
-def _template(
-    diag: Diagram,
-) -> tuple[Diagram, dict[int, tuple[int, int]], list[tuple[int, int]], int, int]:
-    """Close the diagram over symbolic labels and expand braids and multicharges.
+def _template(shape: tuple) -> tuple[tuple, dict[int, tuple[int, int]], list[tuple[int, int]], int, int]:
+    """Close a shape over symbolic labels and expand its braids and multicharges.
 
     Variable 0 is the constant 1, variables 1..n_out the output labels,
     then the n_in input labels, then one summation variable per braid in
     slice order, then one parameter per constant charge: the charges in
     slice order, a multicharge's items rightmost first.  Returns the closed
-    braid-free diagram, the charge of each charge slice as {slice:
-    (variable, coefficient)}, the parameter pairs (i, j) whose product the
-    multicharge twist subtracts, the variable count and the braid count.
-    Charge values are never read: only the diagram's shape matters.
+    template as a shape of caps, cups and charges, the charge of each of
+    its charge slices as {slice: (variable, coefficient)}, the parameter
+    pairs (i, j) whose product the multicharge twist subtracts, the
+    variable count and the braid count.
     """
-    n_in, n_out = diag.n_in, diag.n_out
-    braids = sum(s.kind in (BRAID_POS, BRAID_NEG) for s in diag.slices)
-    slices = _ket_slices(n_in, [0] * n_in)
+    d, top, body = shape
+    n_in, n_out = top // 2, _n_out(shape)
+    braids = sum(kind in (BRAID_POS, BRAID_NEG) for kind, _, _ in body)
+    slices = [(g.kind, g.pos, ()) for g in _ket_slices(n_in, [0] * n_in)]
     forms = {n_in + j: (1 + n_out + j, 1) for j in range(n_in)}  # ket charge j: +x_in[j]
     twist: list[tuple[int, int]] = []
     braid_var = 1 + n_out + n_in
@@ -109,36 +108,36 @@ def _template(
 
     def charge(pos: int, var: int, coef: int) -> None:
         forms[len(slices)] = (var, coef)
-        slices.append(Generator(CHARGE, pos=pos))
+        slices.append((CHARGE, pos, ()))
 
-    for s in diag.slices:
-        if s.kind in (BRAID_POS, BRAID_NEG):
-            up, down = (s.pos, s.pos + 1) if s.kind == BRAID_POS else (s.pos + 1, s.pos)
+    for kind, pos, items in body:
+        if kind in (BRAID_POS, BRAID_NEG):
+            up, down = (pos, pos + 1) if kind == BRAID_POS else (pos + 1, pos)
             charge(up, braid_var, 1)
             charge(down, braid_var, -1)
             braid_var += 1
-        elif s.kind == MULTICHARGE:
+        elif kind == MULTICHARGE:
             first = param
-            for p, _ in reversed(s.items):  # rightmost charge highest
+            for p in reversed(items):  # rightmost charge highest
                 charge(p, param, 1)
                 param += 1
             twist += [(i, j) for i in range(first, param) for j in range(i + 1, param)]
-        elif s.kind == CHARGE:
-            charge(s.pos, param, 1)
+        elif kind == CHARGE:
+            charge(pos, param, 1)
             param += 1
-        elif s.kind != STRAND:
-            slices.append(s)
+        elif kind != STRAND:
+            slices.append((kind, pos, ()))
     # bra closure: charges for qudits n_out..1 (bra charge j: -x_out[j]), then cups
     forms.update({len(slices) + t: (n_out - t, -1) for t in range(n_out)})
-    slices += _bra_slices(n_out, [0] * n_out)
-    return Diagram(diag.d, 0, tuple(slices)), forms, twist, param, braids
+    slices += [(g.kind, g.pos, ()) for g in _bra_slices(n_out, [0] * n_out)]
+    return (d, 0, tuple(slices)), forms, twist, param, braids
 
 
-# --- the closed-diagram reduction engine ------------------------------------
+# --- the closed-shape reduction engine --------------------------------------
 
 
-def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
-    """Reduce a closed braid-free diagram by its column topology alone.
+def _reduce_closed(closed: tuple) -> tuple[dict[tuple[int, int], int], list[list[int]]]:
+    """Reduce a closed template (caps, cups and charges) by its column topology alone.
 
     Returns the zeta-exponent pairs ``{(i, j): c}``, meaning a factor
     zeta**(c * k_i * k_j) for the charges k_i, k_j of slices i and j, and
@@ -148,7 +147,7 @@ def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[li
     trace = trace_strands(closed)
     if trace.bottom_cols:
         raise DiagramError("internal: closure did not produce a closed diagram")
-    tokens = [(s.kind, i) for i, s in enumerate(closed.slices) if s.kind in (CAP, CUP, CHARGE)]
+    tokens = [(kind, i) for i, (kind, _, _) in enumerate(closed[2])]
     cap_legs = trace.cap_legs  # fused zig-zag caps are added here
     col = trace.charge_cols  # charge slice -> its current column
     key = trace.key
@@ -157,13 +156,28 @@ def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[li
     loops: list[list[int]] = []
     next_cap_id = -1  # fused zig-zag caps get fresh negative ids
 
-    def move_up(idx: int, dest: int) -> None:
-        """Move charge token idx up to just below index dest, exchanging heights."""
-        mover = tokens[idx][1]
-        for kind, tid in tokens[dest + 1 : idx]:
-            if kind == CHARGE and col[tid] != col[mover]:
-                pairs[mover, tid] += 2 if key[col[mover]] < key[col[tid]] else -2  # q = zeta**2
-        tokens.insert(dest + 1, tokens.pop(idx))
+    def clear(cap: int, legs: tuple[int, ...], onto: int, sign: int) -> list[int]:
+        """Move each charge on the columns ``legs``, topmost first, to just below ``cap``; return them.
+
+        One on ``legs[0]`` then crosses the max onto column ``onto`` at
+        zeta**(sign * k*k).  The moved charges stay in a block below the cap.
+        """
+        below = tokens.index((CAP, cap)) + 1
+        moved: list[int] = []
+        while True:
+            pe = next((i for i in range(below + len(moved), len(tokens))
+                       if tokens[i][0] == CHARGE and col[tokens[i][1]] in legs), None)
+            if pe is None:
+                return moved
+            tid = tokens[pe][1]
+            for kind, other in tokens[below:pe]:
+                if kind == CHARGE and col[other] != col[tid]:
+                    pairs[tid, other] += 2 if key[col[tid]] < key[col[other]] else -2  # q = zeta**2
+            tokens.insert(below, tokens.pop(pe))
+            if col[tid] == legs[0]:
+                pairs[tid, tid] += sign
+                col[tid] = onto
+            moved.append(tid)
 
     while tokens:
         ci = next((i for i, t in enumerate(tokens) if t[0] == CUP), None)
@@ -173,32 +187,12 @@ def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[li
         a, b = trace.cup_legs[cup_id]
         xa, xb = birth[a], birth[b]
         if xa == xb:
-            # loop: gather every charge on either leg just below the cap
-            px = tokens.index((CAP, xa))
+            # loop: gather every charge on either leg below the cap, then drop it
             if cap_legs[xa] != (a, b):
                 raise DiagramError("internal: twisted cap/cup pairing in planar diagram")
-            moved: list[int] = []
-            while True:
-                pe = next(
-                    (
-                        i
-                        for i, t in enumerate(tokens)
-                        if t[0] == CHARGE and t[1] not in moved and col[t[1]] in (a, b)
-                    ),
-                    None,
-                )
-                if pe is None:
-                    break
-                tid = tokens[pe][1]
-                move_up(pe, px)
-                if col[tid] == a:
-                    pairs[tid, tid] += 1  # across the max, left to right
-                    col[tid] = b
-                moved.append(tid)
-            loops.append(moved)
-            for tid in moved:
-                tokens.remove((CHARGE, tid))
-            tokens.remove((CAP, xa))
+            loops.append(clear(xa, (a, b), b, 1))
+            px = tokens.index((CAP, xa))
+            del tokens[px : px + 1 + len(loops[-1])]
             tokens.remove((CUP, cup_id))
         else:
             # zig-zag: clear both legs across their own caps, then fuse the
@@ -208,62 +202,20 @@ def _reduce_closed(closed: Diagram) -> tuple[dict[tuple[int, int], int], list[li
             # string nested inside the fused arc is born below it.
             insert_at = min(tokens.index((CAP, xa)), tokens.index((CAP, xb)))
             siblings = []
-            for leg, cap_slice in ((a, xa), (b, xb)):
-                left_child, right_child = cap_legs[cap_slice]
+            for leg, cap in ((a, xa), (b, xb)):
+                left_child, right_child = cap_legs[cap]
                 sibling = right_child if leg == left_child else left_child
-                sign = 1 if leg == left_child else -1
-                px = tokens.index((CAP, cap_slice))
-                while True:
-                    pe = next(
-                        (i for i, t in enumerate(tokens) if t[0] == CHARGE and col[t[1]] == leg),
-                        None,
-                    )
-                    if pe is None:
-                        break
-                    tid = tokens[pe][1]
-                    move_up(pe, px)
-                    pairs[tid, tid] += sign
-                    col[tid] = sibling
+                clear(cap, (leg,), sibling, 1 if leg == left_child else -1)
                 siblings.append(sibling)
             tokens.remove((CAP, xa))
             tokens.remove((CAP, xb))
             tokens.remove((CUP, cup_id))
             new_left, new_right = sorted(siblings, key=lambda c: key[c])
-            new_cap = next_cap_id
+            cap_legs[next_cap_id] = (new_left, new_right)
+            birth[new_left] = birth[new_right] = next_cap_id
+            tokens.insert(insert_at, (CAP, next_cap_id))
             next_cap_id -= 1
-            cap_legs[new_cap] = (new_left, new_right)
-            birth[new_left] = new_cap
-            birth[new_right] = new_cap
-            tokens.insert(insert_at, (CAP, new_cap))
     return pairs, loops
-
-
-@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _compile(shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """A shape's zeta-exponent form Q, its loop-neutrality forms and braid count.
-
-    Returns Q as a read-only V x V integer matrix, the exponent being
-    y @ Q @ y for the variable vector y of ``_template``; Q + Q.T, whose
-    label rows give the part of the exponent linear in the labels; one row
-    per removed loop, the loop's total charge y @ row; and the number of
-    braid summation variables.
-    """
-    closed, forms, twist, n_vars, braids = _template(_shape_diagram(shape))
-    pairs, loops = _reduce_closed(closed)
-    size = len(closed.slices)
-    charges = np.zeros((size, n_vars), dtype=np.int64)
-    for i, (var, coef) in forms.items():
-        charges[i, var] = coef
-    weights = np.zeros((size, size), dtype=np.int64)
-    for (i, j), c in pairs.items():
-        weights[i, j] = c
-    quad = charges.T @ weights @ charges
-    for i, j in twist:
-        quad[i, j] -= 1
-    incidence = np.zeros((len(loops), size), dtype=np.int64)
-    for r, loop in enumerate(loops):
-        incidence[r, loop] = 1
-    return _frozen(quad), _frozen(quad + quad.T), _frozen(incidence @ charges), braids
 
 
 @lru_cache(maxsize=None)
@@ -273,22 +225,37 @@ def _label_grid(d: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
-def _label_forms(shape: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The label-only parts of a shape's forms over all entries, and the map of the rest.
+def _compile(shape: tuple) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
+    """A shape's integer forms and braid count, and the forms' label-only parts over all entries.
 
-    Returns Q's label part per entry; each loop's label residue mod d per
-    entry, one row per loop, in the smallest unsigned type that holds d - 1; and the map that takes a label-free variable
-    row y to (y @ Q, minus each loop's total, the label coefficients of
-    y @ (Q + Q.T)).  A loop is neutral when its label residue equals minus
-    its total mod d.
+    Each reduced pair and each loop charge is added straight into Q or its
+    loop's row from the charges' (variable, coefficient) forms.  Returns Q
+    (the zeta exponent is y @ Q @ y for the variables y of ``_template``);
+    one row per removed loop, its total charge y @ row; the braid count;
+    Q's label part per entry of the n_in + n_out labels (``_label_grid``);
+    each loop's label residue mod d per entry, in the smallest unsigned
+    type that holds d - 1; and the map that takes a label-free row y to
+    (y @ Q, minus each loop's total, the label coefficients of y @ (Q +
+    Q.T)).  A loop is neutral when its residue is minus its total mod d.
     """
-    quad, both, loops, _ = _compile(shape)
-    d = shape[0]
+    closed, forms, twist, n_vars, braids = _template(shape)
+    pairs, loops = _reduce_closed(closed)
+    quad = np.zeros((n_vars, n_vars), dtype=np.int64)
+    for (i, j), c in pairs.items():
+        (u, a), (v, b) = forms[i], forms[j]
+        quad[u, v] += c * a * b
+    for i, j in twist:
+        quad[i, j] -= 1
+    totals = np.zeros((len(loops), n_vars), dtype=np.int64)
+    for row, loop in zip(totals, loops):
+        for i in loop:
+            row[forms[i][0]] += forms[i][1]
+    d, n = shape[0], shape[1] // 2 + _n_out(shape)
     labels = _label_grid(d, n)
     label_quad = np.sum(labels * (quad[1 : n + 1, 1 : n + 1] @ labels), axis=0)
-    residues = ((loops[:, 1 : n + 1] @ labels) % d).astype(np.min_scalar_type(d - 1))
-    mix = np.concatenate((quad, -loops.T, both[1 : n + 1].T), axis=1)
-    return _frozen(label_quad), _frozen(residues), _frozen(mix)
+    residues = ((totals[:, 1 : n + 1] @ labels) % d).astype(np.min_scalar_type(d - 1))
+    mix = np.concatenate((quad, -totals.T, (quad + quad.T)[1 : n + 1].T), axis=1)
+    return _frozen(quad), _frozen(totals), braids, _frozen(label_quad), _frozen(residues), _frozen(mix)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -304,7 +271,7 @@ def closed_value(diag: Diagram) -> PhaseExponent:
         raise DiagramError("closed_value needs a diagram with no boundary points")
     if diag.has_braids():
         raise DiagramError("closed_value is exact-only; braided diagrams need evaluate_symbolic")
-    quad, _, loops, _ = _compile(_shape(diag))
+    quad, loops = _compile(_shape(diag))[:2]
     y = (1,) + _params(diag)
     # loops @ y and quad @ y in Python ints: y @ quad @ y outgrows int64 once d**4 does
     forms = [sum(a * b for a, b in zip(row, y)) for row in loops.tolist() + quad.tolist()]
@@ -318,12 +285,6 @@ def closed_value(diag: Diagram) -> PhaseExponent:
             raise DiagramError("quarter-power prefactor on a closed diagram is not exact")
         total = total.times_sqrtd(diag.scale.quarter // 2)
     return total
-
-
-@lru_cache(maxsize=None)
-def _phase_table(d: int, loops: int) -> np.ndarray:
-    """sqrt(d)**loops * zeta**j for j < d*d, as PhaseExponent computes it."""
-    return _frozen(_zeta_powers(d) * d ** (loops / 2))
 
 
 def _evaluate_shape(shape: tuple, params: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -343,10 +304,9 @@ def _evaluate_shape(shape: tuple, params: np.ndarray, scales: np.ndarray) -> np.
     closing = float(d) ** (-(n_in + n_out) / 4)  # d**(-1/4) per cap and cup that close the diagram
     numeric = np.array([braiding * (s * closing) for s in scales.tolist()])
 
-    quad, _, loops, braids = _compile(shape)
-    label_quad, residues, mix = _label_forms(shape, n)
+    quad, loops, braids, label_quad, residues, mix = _compile(shape)
     labels = _label_grid(d, n)
-    table = _phase_table(d, len(loops))
+    table = _zeta_table(d) * d ** (len(loops) / 2)  # sqrt(d)**L * zeta**j for j < 2d
     v, l = len(quad), len(loops)
     y = np.zeros((len(params), 1 + n + braids + params.shape[1]), dtype=np.int64)
     y[:, 0], y[:, 1 + n + braids :] = 1, params % (2 * d)
@@ -358,7 +318,7 @@ def _evaluate_shape(shape: tuple, params: np.ndarray, scales: np.ndarray) -> np.
         exponent = m[:, v + l :] @ labels
         exponent += label_quad
         exponent += (m[:, :v] * y).sum(axis=1)[:, None]
-        exponent %= d * d
+        exponent %= 2 * d
         np.add(acc, table[exponent], out=acc, where=neutral)  # acc is never -0.0: adding 0 would change nothing
     return numeric[:, None, None] * acc.reshape(len(params), d**n_out, d**n_in)
 

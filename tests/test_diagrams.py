@@ -236,7 +236,7 @@ def _frame_on(t, diag):
     acts = [act for _, _, act in plan.steps if act is not None]
     assert len(acts) == 3  # every string's frame is absorbed once
     e, digits = dense._frame(plan, diag.d, np.array([_params(diag)], dtype=np.int64))
-    out = t * dense._zeta_powers(d)[e[0]]
+    out = t * dense._zeta(d, e[0])
     for p, (_, _, key) in zip((1, 3, 5), acts):
         if key is not None:  # else no charge reached the pair
             idx, ph = dense._pauli_pairs(d, digits[:, key])
@@ -451,7 +451,7 @@ def test_charge_only_diagrams_leave_cached_arrays_alone(d):
 
     charged = Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(MULTICHARGE, items=((1, 2), (3, 1))),))
     cached = [dense._input_pair(d), dense._cap_pair(d), dense.pair_isometry(d),
-              dense._pair_adjoint(d), dense._cap_vector(d), dense._zeta_powers(d),
+              dense._pair_adjoint(d), dense._cap_vector(d), dense._zeta_table(d),
               dense._order_phases(d, 2), dense._braid_gate(d, True), *dense._pair_digits(d)]
     before = [arr.copy() for arr in cached]
     for diag in (charged, builtin("X", d), builtin("Y", d), builtin("Z", d), builtin("bell", d)):
@@ -461,6 +461,35 @@ def test_charge_only_diagrams_leave_cached_arrays_alone(d):
         assert np.array_equal(arr, old)
     assert dense._input_pair(d) is cached[0]
     assert dense._cap_pair(d) is cached[1]
+
+
+def test_zeta_lookup_is_exact_from_a_table_of_2d_entries():
+    """zeta**e read from 2d entries equals PhaseExponent's value bit for bit, for any integer e."""
+    from paradiag.diagrams import dense
+
+    for d in range(1, 41):
+        assert dense._zeta_table(d).shape == (2 * d,)
+        e = np.arange(-3 * d * d, 3 * d * d)
+        want = np.array([PhaseExponent(d, x).to_complex() for x in e.tolist()])
+        assert dense._zeta(d, e).tobytes() == want.tobytes()
+        scalars = np.array([dense._zeta(d, x) for x in e[::7].tolist()])  # Python ints
+        assert scalars.tobytes() == want[::7].tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_dense_builds_no_input_pair_without_inputs(monkeypatch, d):
+    """Closed diagrams and states never ask for the d*d x d input isometry."""
+    from paradiag.diagrams import dense
+
+    def refuse(d):
+        raise AssertionError(f"input pair built at d={d} for a diagram with no inputs")
+
+    monkeypatch.setattr(dense, "_input_pair", refuse)
+    loop = Diagram(d, 0, (Generator(CAP, 1), Generator(CHARGE, 2, k=d), Generator(CUP, 1)))
+    assert abs(evaluate_dense(loop).scalar() - math.sqrt(d)) <= 1e-12
+    for diag in (builtin("bell", d), builtin("max", d, 3), basis_ket(d, [1, d - 1])):
+        assert diag.n_in == 0
+        assert np.max(np.abs(evaluate_dense(diag).array - evaluate_symbolic(diag).array)) <= 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -529,7 +558,7 @@ def test_backends_agree_entrywise(d, seed):
 def _clear_shape_caches():
     from paradiag.diagrams import dense, symbolic
 
-    for cache in (symbolic._compile, symbolic._label_forms, dense._plan):
+    for cache in (symbolic._compile, dense._plan):
         cache.cache_clear()
 
 

@@ -11,6 +11,11 @@ Matrix conventions: rows are output indices, columns input indices, and
     F|k> = d**-0.5 * sum_l q**(k*l)|l>,   G|k> = zeta**(k*k)|k>
 
 with indices mod d.
+
+``apply_to_qudits`` is the one kernel that applies an operator to chosen
+qudits.  An n-qudit operator T also reads as a 2n-qudit register whose qudits
+1..n index its rows and n+1..2n its columns: A on qudit j of it gives A_j T,
+and B^T on qudit n+j gives T B_j.
 """
 
 from __future__ import annotations
@@ -205,45 +210,36 @@ def _controlled_add(d: int) -> np.ndarray:
     return mat
 
 
+def _to_front(state: StateVector, qudits: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """The amplitudes as a (d**m, rest) matrix over the listed (1-based) qudits, and the axis order."""
+    d, n = state.d, state.n
+    if len(set(qudits)) != len(qudits) or any(q < 1 or q > n for q in qudits):
+        raise ShapeError(f"bad qudit selection {qudits!r} for n={n}")
+    axes = [q - 1 for q in qudits]
+    order = axes + [i for i in range(n) if i not in axes]
+    return state.amps.reshape([d] * n).transpose(order).reshape(d ** len(axes), -1), order
+
+
 def apply_to_qudits(op_mat: np.ndarray, state: StateVector, qudits: Sequence[int]) -> StateVector:
     """Apply a d**m x d**m matrix to the listed (1-based, distinct) qudits."""
-    d, n = state.d, state.n
-    m = len(qudits)
-    if len(set(qudits)) != m or any(q < 1 or q > n for q in qudits):
-        raise ShapeError(f"bad qudit selection {qudits!r} for n={n}")
-    if op_mat.shape != (d**m, d**m):
-        raise ShapeError(f"operator shape {op_mat.shape} does not match {m} qudits")
-    axes = [q - 1 for q in qudits]
-    rest = [i for i in range(n) if i not in axes]
-    psi = state.amps.reshape([d] * n).transpose(axes + rest).reshape(d**m, -1)
-    psi = op_mat @ psi
-    psi = psi.reshape([d] * n)
-    inv = np.argsort(axes + rest)
-    return StateVector(d, n, psi.transpose(inv).reshape(-1))
+    psi, order = _to_front(state, qudits)
+    if op_mat.shape != (len(psi), len(psi)):
+        raise ShapeError(f"operator shape {op_mat.shape} does not match {len(qudits)} qudits")
+    psi = (op_mat @ psi).reshape([state.d] * state.n).transpose(np.argsort(order))
+    return StateVector(state.d, state.n, psi.reshape(-1))
 
 
 def embed_operator(op: Operator, qudits: Sequence[int], n: int) -> Operator:
-    """Embed op onto the listed qudits of an n-qudit register, identity elsewhere."""
-    d, m = op.d, op.n
-    if len(qudits) != m:
-        raise ShapeError(f"operator acts on {m} qudits, got {len(qudits)} positions")
-    if len(set(qudits)) != m or any(q < 1 or q > n for q in qudits):
+    """Embed op onto the listed qudits of an n-qudit register: op on the rows of the identity."""
+    if any(q > n for q in qudits):
         raise ShapeError(f"qudit positions {qudits!r} out of range for n={n}")
-    full = np.kron(op.mat, np.eye(d ** (n - m)))
-    axes = [q - 1 for q in qudits]
-    rest = [i for i in range(n) if i not in axes]
-    inv = list(np.argsort(axes + rest))
-    tensor = full.reshape([d] * (2 * n))
-    tensor = tensor.transpose(inv + [n + i for i in inv])
-    return Operator(d, n, tensor.reshape(d**n, d**n))
+    eye = StateVector(op.d, 2 * n, np.eye(op.d**n).reshape(-1))
+    return Operator(op.d, n, apply_to_qudits(op.mat, eye, qudits).amps.reshape(op.d**n, -1))
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix on the kept (1-based) qudits."""
-    d, n = state.d, state.n
-    axes = [q - 1 for q in keep]
-    rest = [i for i in range(n) if i not in axes]
-    psi = state.amps.reshape([d] * n).transpose(axes + rest).reshape(d ** len(axes), -1)
+    psi, _ = _to_front(state, keep)
     return psi @ psi.conj().T
 
 

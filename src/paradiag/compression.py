@@ -7,7 +7,9 @@ notions (FXF^-1 = Z, GXG^-1 = Y^-1 move between the three).
 
 Controlled and X forms are read and written through the block view of T at
 j: its matrix reshaped to (d^(j-1), d, d^(n-j)) row axes and the same column
-axes, so that no qudit is moved.
+axes, so that no qudit is moved.  A product L_j T R_j is two
+``apply_to_qudits`` calls on T read as a 2n-qudit register (see ``algebra``):
+no d^n x d^n embedded matrix is built.
 
 Floating point blurs the exact commutant condition, so the commutator norm
 is graded relative to the largest entry of T: at most COMPRESS_PASS * max|T|
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Operator, ShapeError, embed_operator, fourier, gauss, pauli
+from .algebra import Operator, ShapeError, StateVector, apply_to_qudits, fourier, gauss, pauli
 from .scalars import Tolerance
 
 __all__ = [
@@ -68,12 +70,19 @@ class XDecomposition:
     components: tuple[Operator, ...]
 
 
-def commutator_norm(op: Operator, j: int, axis: str) -> float:
-    """Max-entry norm of [T, P_j] for the chosen Pauli embedded at qudit j."""
+def _sandwich(left: np.ndarray, op: Operator, j: int, right: np.ndarray) -> Operator:
+    """L_j T R_j for d x d matrices L and R acting on qudit j of T."""
     if j < 1 or j > op.n:
         raise ShapeError(f"qudit index {j} out of range for n={op.n}")
-    p = embed_operator(pauli(op.d, axis), [j], op.n).mat
-    return float(np.max(np.abs(op.mat @ p - p @ op.mat)))
+    reg = StateVector(op.d, 2 * op.n, op.mat.reshape(-1))
+    reg = apply_to_qudits(right.T, apply_to_qudits(left, reg, (j,)), (op.n + j,))
+    return Operator(op.d, op.n, reg.amps.reshape(op.mat.shape))
+
+
+def commutator_norm(op: Operator, j: int, axis: str) -> float:
+    """Max-entry norm of [T, P_j] for the chosen Pauli at qudit j."""
+    p, eye = pauli(op.d, axis).mat, np.eye(op.d)
+    return float(np.max(np.abs(_sandwich(eye, op, j, p).mat - _sandwich(p, op, j, eye).mat)))
 
 
 def is_compressed(op: Operator, j: int, axis: str, tol: Tolerance = Tolerance()) -> bool:
@@ -151,16 +160,10 @@ def x_components(op: Operator, j: int, tol: Tolerance = Tolerance()) -> XDecompo
     d = op.d
     if not is_compressed(op, j, "X", tol):
         raise NotXCompressed(f"commutator with X_{j} has norm {commutator_norm(op, j, 'X'):.3e}")
-    f_j = embed_operator(fourier(d), [j], op.n)
-    ctrl = controlled_blocks(f_j @ op @ f_j.adjoint(), j, tol)
-    q_mat = fourier(d).mat * np.sqrt(d)  # q**(l*m) table
-    comps = []
-    for m in range(d):
-        acc = np.zeros_like(ctrl.blocks[0].mat)
-        for l in range(d):
-            acc += np.conj(q_mat[m, l]) * ctrl.blocks[l].mat
-        comps.append(Operator(d, op.n - 1, acc / d))
-    return XDecomposition(j, tuple(comps))
+    f = fourier(d).mat
+    ctrl = controlled_blocks(_sandwich(f, op, j, f.conj().T), j, tol)
+    comps = np.tensordot(f.conj() / np.sqrt(d), [b.mat for b in ctrl.blocks], axes=1)
+    return XDecomposition(j, tuple(Operator(d, op.n - 1, c) for c in comps))
 
 
 def assemble_x_form(components: list[Operator] | tuple[Operator, ...], j: int, n: int) -> Operator:
@@ -184,8 +187,8 @@ def assemble_x_form(components: list[Operator] | tuple[Operator, ...], j: int, n
 
 def y_to_x_transport(op: Operator, j: int) -> Operator:
     """G^-1_j T G_j: Y-compression of T at j becomes X-compression here."""
-    g_j = embed_operator(gauss(op.d), [j], op.n)
-    return g_j.adjoint() @ op @ g_j
+    g = gauss(op.d).mat
+    return _sandwich(g.conj().T, op, j, g)
 
 
 def verify_compressed_witness(
@@ -202,7 +205,6 @@ def verify_compressed_witness(
         raise ShapeError("T' and T must have matching shape")
     if not (u.is_unitary(tol) and v.is_unitary(tol)):
         return False
-    recon = embed_operator(u, [j], t.n) @ t @ embed_operator(v, [j], t.n)
-    if np.max(np.abs(recon.mat - tp.mat)) > tol.eps:
+    if np.max(np.abs(_sandwich(u.mat, t, j, v.mat).mat - tp.mat)) > tol.eps:
         return False
     return is_compressed(t, j, "Z", tol)

@@ -53,7 +53,6 @@ from .algebra import (
     StateVector,
     _controlled_add,
     apply_to_qudits,
-    embed_operator,
     fourier,
     ghz_state,
     partial_trace,
@@ -222,34 +221,14 @@ def target_unitary(d: int, n: int, blocks: Sequence[Sequence[Operator]]) -> Oper
     commute (they share a diagonal control), so the product order is moot.
     """
     _validate_blocks(d, n, blocks, Tolerance(1e-8))
-    sizes = _party_sizes(blocks)
-    m_total = sum(sizes) + 1
-    total = np.eye(d**m_total, dtype=complex)
-    for j in range(1, n + 1):
-        base = sum(sizes[: j - 1])
-        positions = [base + i + 1 for i in range(sizes[j - 1])]
-        factor = np.zeros((d**m_total, d**m_total), dtype=complex)
-        for l in range(d):
-            proj = np.zeros((d, d), dtype=complex)
-            proj[l, l] = 1.0
-            factor += (
-                embed_operator(Operator(d, 1, proj), [m_total], m_total).mat
-                @ embed_operator(blocks[j - 1][l], positions, m_total).mat
-            )
-        total = factor @ total
-    return Operator(d, m_total, total)
+    net = Network(d, n, _party_sizes(blocks))
+    return _target(net, _controlled_gates(net, blocks))
 
 
 def target_unitary_xcompressed(d: int, n: int, parties: Sequence[Operator]) -> Operator:
     """Product of the T_j with the leader's data qudit as the shared last leg."""
-    sizes = tuple(op.n - 1 for op in parties)
-    m_total = sum(sizes) + 1
-    total = np.eye(d**m_total, dtype=complex)
-    for j in range(1, n + 1):
-        base = sum(sizes[: j - 1])
-        positions = [base + i + 1 for i in range(sizes[j - 1])] + [m_total]
-        total = embed_operator(parties[j - 1], positions, m_total).mat @ total
-    return Operator(d, m_total, total)
+    net = Network(d, n, tuple(op.n - 1 for op in parties))
+    return _target(net, [op.mat for op in parties])
 
 
 def _controlled_z(d: int) -> np.ndarray:
@@ -326,6 +305,13 @@ def _expected_state(
         state = apply_to_qudits(gate, state, (*range(base + 1, base + size + 1), net.data_qudits))
         base += size
     return state
+
+
+def _target(net: Network, gates: Sequence[np.ndarray]) -> Operator:
+    """The target as an operator: ``_expected_state`` of the identity read as a 2m-qudit register."""
+    m = net.data_qudits
+    eye = StateVector(net.d, 2 * m, np.eye(net.d**m).reshape(-1))
+    return Operator(net.d, m, _expected_state(net, gates, eye).amps.reshape(net.d**m, -1))
 
 
 def _check_input(net: Network, input_state: StateVector) -> None:

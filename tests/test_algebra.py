@@ -171,3 +171,15 @@ def test_state_json_round_trip():
     assert np.allclose(back.amps, state.amps)
     with pytest.raises(ShapeError):
         state_from_json(json.dumps({"d": 2, "n": 2, "re": [1.0], "im": [0.0]}))
+
+
+@pytest.mark.parametrize("keep", [[0], [3], [1, 1]])
+def test_partial_trace_rejects_bad_qudit_list(keep):
+    with pytest.raises(ShapeError):
+        partial_trace(ghz_state(2, 2), keep)
+
+
+def test_embed_operator_rejects_column_positions():
+    """Qudits n+1..2n are the identity's columns, not register positions."""
+    with pytest.raises(ShapeError):
+        embed_operator(pauli(2, "X"), [3], 2)

@@ -73,6 +73,24 @@ def test_eval_pauli_x_file(capsys, tmp_path):
     assert report["cross_check_dev"] <= 1e-9
 
 
+
+def test_eval_cross_check_is_entrywise(capsys, tmp_path, monkeypatch):
+    """A symbolic value off by a global phase of 1j fails the cross-check."""
+    import dataclasses
+
+    from paradiag import cli
+
+    symbolic = cli.evaluate_symbolic
+    monkeypatch.setattr(cli, "evaluate_symbolic",
+                        lambda diag: dataclasses.replace(symbolic(diag), array=1j * symbolic(diag).array))
+    path = tmp_path / "x.json"
+    path.write_text(diagram_to_json(builtin("X", 3)))
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False and report["cross_check_dev"] == pytest.approx(np.sqrt(2))
+    assert "entrywise" in err
+
 def test_eval_empty_diagram_scalar_one(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"d": 3, "top": 0, "slices": []}))
@@ -335,6 +353,40 @@ def test_compress_decomposes_large_entries(capsys, tmp_path, axis, key):
     assert len(report[key]) == 3
 
 
+
+def test_no_module_needs_embed_operator(capsys, tmp_path, monkeypatch):
+    """compress, the X-compressed protocol, both targets and the witness check run with
+    ``embed_operator`` raising in every paradiag module."""
+    import sys
+
+    from paradiag.compression import verify_compressed_witness
+    from paradiag.protocol import run_mct_xcompressed, target_unitary, target_unitary_xcompressed
+
+    rng = np.random.default_rng(4)
+    blocks = [random_unitary(3, 1, rng) for _ in range(3)]
+    ctrl = assemble_controlled(blocks, 2, 2)
+    f, g = embed_operator(fourier(3), [2], 2), embed_operator(gauss(3), [2], 2)
+    xop = f.adjoint() @ ctrl @ f  # X-compressed on qudit 2
+    dressed = f @ ctrl @ f.adjoint()
+    files = {"Z": ctrl, "X": xop, "Y": g @ xop @ g.adjoint()}
+    for axis, op in files.items():
+        (tmp_path / f"{axis}.json").write_text(algebra.operator_to_json(op))
+    inp = algebra.basis_state(3, [1, 2])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("embed_operator called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("paradiag") and hasattr(module, "embed_operator"):
+            monkeypatch.setattr(module, "embed_operator", refuse)
+    for axis in files:
+        code, out, _ = run_cli(capsys, "compress", str(tmp_path / f"{axis}.json"), "--j", "2", "--axis", axis)
+        assert code == 0 and json.loads(out)["verdict"] == "compressed"
+    assert run_mct_xcompressed(3, 1, [xop], inp).passed
+    assert np.allclose(target_unitary(3, 1, [blocks]).mat, ctrl.mat)
+    assert np.allclose(target_unitary_xcompressed(3, 1, [xop]).mat, xop.mat)
+    assert verify_compressed_witness(dressed, ctrl, fourier(3), fourier(3).adjoint(), 2)
+
 def test_compress_bad_index(capsys, tmp_path):
     path = tmp_path / "x.json"
     path.write_text(algebra.operator_to_json(pauli(2, "X")))
@@ -415,6 +467,19 @@ def test_mct_rejects_zero_random_trials(capsys):
     assert code == 2
     assert "error" in err
 
+
+
+@pytest.mark.parametrize("source", ["random", "blocks"])
+def test_mct_rejects_negative_seed(capsys, tmp_path, source):
+    path = tmp_path / "cnot_blocks.json"
+    path.write_text(json.dumps({"d": 2, "n": 1, "parties": [[
+        json.loads(algebra.operator_to_json(Operator.identity(2))),
+        json.loads(algebra.operator_to_json(pauli(2, "X")))]]}))
+    given = ["--random", "1"] if source == "random" else ["--blocks", str(path)]
+    code, out, err = run_cli(capsys, "mct", "--d", "2", "--n", "1", *given, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need --seed >= 0, got -1\n"
 
 def test_mct_rejects_non_unitary_blocks(capsys, tmp_path):
     bad = {

@@ -7,6 +7,7 @@ import pytest
 
 from paradiag.algebra import (
     Operator,
+    ShapeError,
     embed_operator,
     fourier,
     gauss,
@@ -15,6 +16,7 @@ from paradiag.algebra import (
 )
 from paradiag.compression import (
     NotBlockDiagonal,
+    _sandwich,
     NotXCompressed,
     assemble_controlled,
     assemble_x_form,
@@ -226,3 +228,17 @@ def test_verdict_grading():
     # the fail threshold is relative to max|T| too, so scaling does not change the verdict
     tiny = Operator(2, 2, 1e-8 * random_unitary(2, 2, np.random.default_rng(3)).mat)
     assert compression_verdict(tiny, 1, "Z") == "not_compressed"
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4) for n in (1, 2, 3)])
+def test_sandwich_matches_embedded_products(d, n):
+    """L_j T R_j on T read as a 2n-qudit register equals the embedded d^n x d^n products."""
+    rng = np.random.default_rng(10 * d + n)
+    t = Operator(d, n, rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n)))
+    for j in range(1, n + 1):
+        left, right = random_unitary(d, 1, rng), random_unitary(d, 1, rng)
+        want = embed_operator(left, [j], n).mat @ t.mat @ embed_operator(right, [j], n).mat
+        assert np.max(np.abs(_sandwich(left.mat, t, j, right.mat).mat - want)) <= 1e-13
+    for bad in (0, n + 1):
+        with pytest.raises(ShapeError):
+            _sandwich(left.mat, t, bad, right.mat)

@@ -7,6 +7,7 @@ import pytest
 
 from paradiag.algebra import (
     Operator,
+    ShapeError,
     StateVector,
     apply_to_qudits,
     basis_state,
@@ -241,6 +242,41 @@ def test_expected_state_matches_target_unitaries():
     target = target_unitary_xcompressed(d, 2, parties)
     assert np.allclose(expected.amps, target.apply(inp).amps, atol=1e-12)
 
+
+
+def _embedded_targets(d, sizes, blocks, parties):
+    """Both targets as products of embedded d^m x d^m matrices, one factor per party."""
+    m = sum(sizes) + 1
+    t_ctrl, t_x = np.eye(d**m), np.eye(d**m)
+    for j, size in enumerate(sizes):
+        positions = [sum(sizes[:j]) + i + 1 for i in range(size)]
+        factor = sum(
+            embed_operator(Operator(d, 1, np.diag(np.eye(d)[l])), [m], m).mat
+            @ embed_operator(blocks[j][l], positions, m).mat
+            for l in range(d)
+        )
+        t_ctrl = factor @ t_ctrl
+        t_x = embed_operator(parties[j], positions + [m], m).mat @ t_x
+    return t_ctrl, t_x
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sizes", [(1,), (2, 1), (1, 1, 1)])
+def test_targets_match_embedded_products(d, sizes):
+    rng = np.random.default_rng(d + len(sizes))
+    blocks = [[random_unitary(d, m, rng) for _ in range(d)] for m in sizes]
+    parties = [_x_compressed_gate(d, m, rng) for m in sizes]
+    t_ctrl, t_x = _embedded_targets(d, sizes, blocks, parties)
+    assert np.max(np.abs(target_unitary(d, len(sizes), blocks).mat - t_ctrl)) <= 1e-13
+    assert np.max(np.abs(target_unitary_xcompressed(d, len(sizes), parties).mat - t_x)) <= 1e-13
+
+
+def test_target_xcompressed_rejects_wrong_party_count():
+    op = _x_compressed_gate(2, 1, np.random.default_rng(3))
+    with pytest.raises(ShapeError):
+        target_unitary_xcompressed(2, 2, [op])
+    with pytest.raises(ShapeError):
+        target_unitary_xcompressed(2, 1, [op, op])
 
 def test_mct_xcompressed_two_qudit_party_register():
     rng = np.random.default_rng(14)

@@ -229,9 +229,16 @@ def _random_input(d: int, n_data: int, rng: np.random.Generator) -> StateVector:
     return StateVector(d, n_data, amps / np.linalg.norm(amps))
 
 
-def _mct_refused(d: int, qudits: int) -> bool:
-    """Refuse a register of ``qudits`` qudits: a run holds about four copies of its state."""
-    return _refuse_oversized(4 * 16 * d**qudits, "mct", f"a register of {qudits} qudits")
+def _mct_bytes(d: int, n: int, data: int) -> int:
+    """Peak bytes of one MCT run on ``data`` data qudits, estimated without running.
+
+    A run holds at most three register-size complex arrays at once: in
+    ``apply_to_qudits`` the state, its transposed copy and the product; in
+    the readout the branch outputs, the phase-scaled target and their
+    difference.  Each of the d**(n+1) branches also holds under 1 KiB: its
+    outcome tuple, index entries and, at the end, its record.
+    """
+    return 3 * 16 * d ** (data + n + 1) + 1024 * d ** (n + 1)
 
 
 def cmd_mct(args: argparse.Namespace) -> int:
@@ -266,42 +273,42 @@ def cmd_mct(args: argparse.Namespace) -> int:
         trials = (([[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)], None,
                    int(child.generate_state(1)[0]))
                   for child in np.random.SeedSequence(args.seed).spawn(args.random))
-    if _mct_refused(d, data + n + 1):
+    if _refuse_oversized(_mct_bytes(d, n, data), "mct", f"a register of {data + n + 1} qudits"):
         return EXIT_INVALID
-    runs = []
+    runs = []  # reports only: a run's branch outputs are as large as its register
     try:
         for parties, input_state, seed in trials:  # (blocks, input or None for a random one, seed)
             if input_state is None:
                 input_state = _random_input(d, data, rng)
-            runs.append(run_mct_controlled(d, n, parties, input_state, mode=args.mode, tol=tol, seed=seed))
+            runs.append(run_mct_controlled(d, n, parties, input_state, mode=args.mode, tol=tol,
+                                           seed=seed).report())
     except ValueError as exc:
         _summary(f"error: {exc}")
         return EXIT_INVALID
 
     theorem_ok = all(
-        r.cost.resource_states == 1
-        and r.cost.resource_qudits == r.network.n + 1
-        and r.cost.cdits == 2 * r.network.n
+        r["cost"] == {"resource_states": 1, "resource_qudits": r["n"] + 1, "cdits": 2 * r["n"]}
         for r in runs
     )
-    passed = all(r.passed for r in runs) and theorem_ok
+    passed = all(r["pass"] for r in runs) and theorem_ok
     report = {
         "command": "mct",
-        "d": runs[0].network.d,
-        "n": runs[0].network.n,
+        "d": runs[0]["d"],
+        "n": runs[0]["n"],
         "mode": args.mode,
         "seed": args.seed,
-        "runs": [r.report() for r in runs],
+        "runs": runs,
         "cost_theorem": theorem_ok,
         "pass": passed,
     }
     if len(runs) == 1:
-        report.update(runs[0].report())
+        report.update(runs[0])
     _emit(report, args.out)
-    matched = sum(b.match for r in runs for b in r.branches)
-    total = sum(len(r.branches) for r in runs)
+    matched = sum(b["match"] for r in runs for b in r["branches"])
+    total = sum(len(r["branches"]) for r in runs)
+    cost = runs[0]["cost"]
     _summary(f"{'PASS' if passed else 'FAIL'}: {matched}/{total} branches match; cdits per run "
-             f"{runs[0].cost.cdits}, resource qudits {runs[0].cost.resource_qudits}")
+             f"{cost['cdits']}, resource qudits {cost['resource_qudits']}")
     return EXIT_PASS if passed else EXIT_FAIL
 
 

@@ -10,15 +10,6 @@ The data qudits [P1.data.., ..., Pn.data.., L.data] keep the qudit order of
 the input state and of ``target_unitary``, so the register starts as the
 outer product of the resource state and the input.
 
-Each variant is one list of (matrix, qudits) steps run in a single pass.
-By the deferred-measurement principle every classically controlled
-correction is a controlled gate from the qudit that would have been
-measured, so all meters move to the end: the final state, read with the
-resource qudits as row index and the data qudits as column index, holds
-branch (l1, ..., ln, l0) in its rows.  The rows are read out in
-lexicographic (l0, l1, ..., ln) order; row norms squared are the branch
-probabilities and normalized rows are the branch outputs.
-
 Controlled variant (GHZ resource): the leader applies F^-1 on its resource
 qudit, a controlled-Z against its data qudit and F^-1 again; l0 is its
 meter.  Party j receives X^l0 on its resource qudit (the adder from L.res),
@@ -37,6 +28,26 @@ m_j is its meter, and the correction X^(m_j) is a controlled-X from Pj.res
 onto L.data.  The l0 part of the correction cancels against the
 controlled-X^-1, which is the measurement-simplification identity checked
 by ``trick_identity_deviation``.
+
+Each variant is one pass: by the deferred-measurement principle every
+classically controlled correction is a controlled gate from the qudit that
+would have been measured, so all meters move to the end.  The final state,
+read with the resource qudits as row index and the data qudits as column
+index, holds branch (l1, ..., ln, l0) in its rows, read out in lexicographic
+(l0, l1, ..., ln) order: norms squared are the probabilities, normalized
+rows the outputs.
+
+The pass groups the gates by kind, not by party.  A party's steps touch
+L.res only as a control, L.data only through a diagonal phase or a shift
+controlled by its own resource qudit, and no other party's qudits, so steps
+of two parties commute; each party's own steps keep their order.  The
+resource qudits lead the register, so a gate on them alone acts on whole
+data rows.  In turn: the leader's gates as one d^2 x d^2 gate on (L.res,
+L.data), in which CX CX^-1 is exactly the identity; every adder as one row
+gather, or every controlled-Z^-1 as one row phase; each party's gate as one
+``apply_to_qudits`` call; every party's F^-1 as one product over its row
+digit and every Z^(l_j) as one phase q^((l1 + ... + ln) x) on the L.data
+digit x, or every X^(m_j) as one shift of L.data in each row.
 """
 
 from __future__ import annotations
@@ -231,69 +242,59 @@ def target_unitary_xcompressed(d: int, n: int, parties: Sequence[Operator]) -> O
     return _target(net, [op.mat for op in parties])
 
 
-def _controlled_z(d: int) -> np.ndarray:
-    """sum_m |m><m| (x) Z^m = diag(q**(m*k)); control and target are symmetric."""
-    k = np.arange(d)
-    return np.diag((zeta(d) ** ((2 * np.outer(k, k)) % (d * d))).reshape(-1))
-
-
-_Step = tuple[np.ndarray, tuple[int, ...]]
-
-
-def _controlled_steps(
-    net: Network, gates: Sequence[np.ndarray], corrections: bool = True
-) -> list[_Step]:
-    """Controlled variant on the GHZ resource; gates[j] has legs [data.., control]."""
-    d = net.d
-    f_inv = fourier(d).adjoint().mat
-    cz = _controlled_z(d)
-    adder = _controlled_add(d)
-    lres, ldata = net.leader_resource_position, net.leader_data_position
-    steps = [(f_inv, (lres,)), (cz, (lres, ldata)), (f_inv, (lres,))]
-    for j, gate in enumerate(gates, start=1):
-        rpos = net.party_resource_position(j)
-        steps += [
-            (adder, (lres, rpos)),
-            (gate, (*net.party_data_positions(j), rpos)),
-            (f_inv, (rpos,)),
-        ]
-        if corrections:
-            steps.append((cz, (rpos, ldata)))
-    return steps
-
-
-def _xcompressed_steps(net: Network, gates: Sequence[np.ndarray]) -> list[_Step]:
-    """X-compressed variant on the Max resource; gates[j] has the leader leg last."""
-    d = net.d
-    cx = _controlled_add(d)  # sum_m |m><m| (x) X^m; its inverse is its transpose
-    cz_inv = _controlled_z(d).conj()
-    lres, ldata = net.leader_resource_position, net.leader_data_position
-    steps = [
-        (cx, (lres, ldata)),
-        (fourier(d).adjoint().mat, (lres,)),
-        (cx.T, (lres, ldata)),
-        (cx, (lres, ldata)),
-    ]
-    for j, gate in enumerate(gates, start=1):
-        rpos = net.party_resource_position(j)
-        steps += [
-            (cz_inv, (lres, rpos)),
-            (gate, (*net.party_data_positions(j), rpos)),
-            (cx, (rpos, ldata)),
-        ]
-    return steps
-
-
 def _outcome_rows(
-    net: Network, input_state: StateVector, resource: StateVector, steps: Sequence[_Step]
+    net: Network,
+    gates: Sequence[np.ndarray],
+    input_state: StateVector,
+    variant: str,
+    corrections: bool = True,
 ) -> np.ndarray:
-    """Run the steps; rows are indexed by (l1, ..., ln, l0), columns by the data qudits."""
+    """The block pass of the module docstring; rows are indexed by (l1, ..., ln, l0).
+
+    Columns are indexed by the data qudits.  Controlled gates[j] have legs
+    [data.., control]; X-compressed gates[j] have the leader leg last.
+    ``corrections=False`` leaves out the controlled variant's Z^(l_j).
+    """
+    d, n = net.d, net.n
+    controlled = variant == "controlled"
+    resource = ghz_state(d, n + 1) if controlled else prepare_max(d, n + 1)
+    k = np.arange(d)
+    phase = zeta(d) ** ((2 * np.outer(k, k)) % (d * d))  # q**(a*b) at [a, b]: the controlled-Z
+    f_inv = fourier(d).adjoint().mat
+    f_inv_res = np.kron(f_inv, np.eye(d))  # F^-1 on L.res, the first leg of (L.res, L.data)
+    if controlled:
+        leader = f_inv_res @ np.diag(phase.reshape(-1)) @ f_inv_res
+    else:  # CX CX^-1 F^-1 CX, where CX CX^-1 is exactly the identity
+        leader = f_inv_res @ _controlled_add(d)
     # the input-first product keeps every amplitude bitwise equal to kron(input, resource)
-    amps = np.multiply.outer(input_state.amps, resource.amps).T.reshape(-1)
-    state = StateVector(net.d, net.total_qudits, amps)
-    for mat, qudits in steps:
-        state = apply_to_qudits(mat, state, qudits)
-    return state.amps.reshape(net.d ** (net.n + 1), -1)
+    state = apply_to_qudits(
+        leader,
+        StateVector(d, net.total_qudits, np.multiply.outer(input_state.amps, resource.amps).T.reshape(-1)),
+        (net.leader_resource_position, net.leader_data_position),
+    )
+
+    digits = np.indices((d,) * (n + 1)).reshape(n + 1, -1)  # (l1, ..., ln, l0) of each row
+    total = digits[:n, ::d].sum(axis=0) % d  # l1 + ... + ln of each block of d rows
+    if controlled:  # every adder: row (.., lj, .., l0) takes row (.., lj - l0, .., l0)
+        src = np.ravel_multi_index((*((digits[:n] - digits[n]) % d), digits[n]), (d,) * (n + 1))
+        state = StateVector(
+            d, net.total_qudits, state.amps.reshape(d ** (n + 1), -1)[src].reshape(-1)
+        )
+    else:  # every controlled-Z^-1 from L.res onto Pj.res
+        state.amps.reshape(d**n, d, -1)[...] *= phase.conj()[total][:, :, None]
+    for j, gate in enumerate(gates, start=1):
+        state = apply_to_qudits(gate, state, (*net.party_data_positions(j), net.party_resource_position(j)))
+    rows = state.amps.reshape(d**n, d, -1, d)  # (l1 ... ln, l0, other data, L.data)
+    del state  # each pass below frees the array it replaces
+    if not controlled:  # every X^(m_j) correction
+        shift = (k - total[:, None]) % d
+        return np.take_along_axis(rows, shift[:, None, None, :], axis=3).reshape(d ** (n + 1), -1)
+    for a in range(n):  # F^-1 on P(a+1).res
+        rows = np.matmul(f_inv, rows.reshape(d**a, d, -1))
+    rows = rows.reshape(d**n, d, -1, d)
+    if corrections:  # every controlled-Z from Pj.res onto L.data
+        rows *= phase[total][:, None, None, :]
+    return rows.reshape(d ** (n + 1), -1)
 
 
 def _expected_state(
@@ -332,14 +333,14 @@ def _cost_report(net: Network) -> CostReport:
 
 def _run(
     net: Network,
-    resource: StateVector,
-    steps: Sequence[_Step],
+    variant: str,
     gates: Sequence[np.ndarray],
     input_state: StateVector,
     mode: str,
     tol: Tolerance,
     seed: int | None,
     samples: int,
+    corrections: bool = True,
 ) -> ProtocolRun:
     """One deferred-measurement pass, read out branch by branch.
 
@@ -347,7 +348,7 @@ def _run(
     lexicographic order; ``sample`` draws ``samples`` tuples from the exact
     joint distribution.
     """
-    rows = _outcome_rows(net, input_state, resource, steps)
+    rows = _outcome_rows(net, gates, input_state, variant, corrections)
     # order[i] is the row of the i-th outcome tuple (l0, l1, ..., ln)
     order = np.arange(net.d ** (net.n + 1)).reshape(-1, net.d).T.reshape(-1)
     probs = np.sum(np.abs(rows) ** 2, axis=1)[order]
@@ -359,7 +360,9 @@ def _run(
         raise ValueError(f"unknown mode {mode!r}")
     expected = _expected_state(net, gates, input_state).amps
     outcomes = list(itertools.product(range(net.d), repeat=net.n + 1))
-    outputs = rows[order[picks]] / np.sqrt(probs[picks])[:, None]
+    outputs = rows[order[picks]]
+    del rows  # the deviations below hold two more register-size arrays
+    outputs /= np.sqrt(probs[picks])[:, None]
     devs = global_phase_deviation(outputs, expected).tolist()
     branches = []
     for i, amps, dev in zip(picks, outputs, devs):
@@ -404,8 +407,7 @@ def run_mct_controlled(
     net = Network(d, n, _party_sizes(blocks))
     _check_input(net, input_state)
     gates = _controlled_gates(net, blocks)
-    steps = _controlled_steps(net, gates)
-    return _run(net, ghz_state(d, n + 1), steps, gates, input_state, mode, tol, seed, samples)
+    return _run(net, "controlled", gates, input_state, mode, tol, seed, samples)
 
 
 def run_mct_xcompressed(
@@ -438,8 +440,7 @@ def run_mct_xcompressed(
     net = Network(d, n, tuple(op.n - 1 for op in parties))
     _check_input(net, input_state)
     gates = [op.mat for op in parties]
-    steps = _xcompressed_steps(net, gates)
-    return _run(net, prepare_max(d, n + 1), steps, gates, input_state, mode, tol, seed, samples)
+    return _run(net, "xcompressed", gates, input_state, mode, tol, seed, samples)
 
 
 def trick_identity_deviation(d: int) -> float:
@@ -482,8 +483,7 @@ def leader_reduced_density(
     _validate_blocks(d, n, blocks, tol)
     net = Network(d, n, _party_sizes(blocks))
     _check_input(net, input_state)
-    steps = _controlled_steps(net, _controlled_gates(net, blocks), corrections=False)
-    rows = _outcome_rows(net, input_state, ghz_state(d, n + 1), steps)
+    rows = _outcome_rows(net, _controlled_gates(net, blocks), input_state, "controlled", corrections=False)
     # the meters dephase the resource qudits in the computational basis; the
     # leader-data reduced state is unchanged by that, so tracing the whole
     # register out is exactly the outcome-averaged state

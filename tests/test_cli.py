@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from paradiag import algebra
-from paradiag.algebra import Operator, embed_operator, fourier, gauss, pauli, random_unitary
-from paradiag.cli import _eval_bytes, main
+from paradiag.algebra import Operator, StateVector, embed_operator, fourier, gauss, pauli, random_unitary
+from paradiag.cli import _eval_bytes, _mct_bytes, main
 from paradiag.compression import assemble_controlled
 from paradiag.diagrams import BRAID_POS, CAP, CHARGE, CUP, Diagram, Generator, builtin, evaluate_dense, random_diagram
 from paradiag.diagrams.ir import diagram_to_json
@@ -540,6 +540,26 @@ def test_mct_refuses_oversized_network(capsys, tmp_path, monkeypatch, source):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d, n", [(3, 4), (2, 6)])
+def test_mct_estimate_covers_a_run(d, n):
+    """A controlled run's traced peak stays within the bytes the mct guard charges."""
+    import tracemalloc
+
+    from paradiag.protocol import run_mct_controlled
+
+    rng = np.random.default_rng(d * 10 + n)
+    blocks = [[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)]
+    amps = rng.standard_normal(d ** (n + 1)) + 1j * rng.standard_normal(d ** (n + 1))
+    inp = StateVector(d, n + 1, amps / np.linalg.norm(amps))
+    tracemalloc.start()
+    try:
+        run_mct_controlled(d, n, blocks, inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _mct_bytes(d, n, n + 1), (peak, _mct_bytes(d, n, n + 1))
 
 
 def test_mct_requires_block_source(capsys):

@@ -22,7 +22,6 @@ from paradiag.compression import NotXCompressed, assemble_controlled
 from paradiag.protocol import (
     Network,
     _controlled_gates,
-    _controlled_steps,
     _expected_state,
     _run,
     leader_reduced_density,
@@ -162,6 +161,22 @@ def test_mct_multiqudit_party_register():
     run = run_mct_controlled(2, 1, blocks, _random_state(2, 3, rng))
     assert run.passed
     assert run.network.party_data == (2,)
+
+
+@pytest.mark.parametrize("phases_first", [True, False])
+def test_mct_party_without_data_qudits(phases_first):
+    """A party whose blocks are 0-qudit phases applies diag(1, i) to L.data through its resource qudit."""
+    rng = np.random.default_rng(4)
+    phases = [Operator(2, 0, [[1]]), Operator(2, 0, [[1j]])]
+    ident = [Operator.identity(2)] * 2
+    blocks = [phases, ident] if phases_first else [ident, phases]
+    inp = _random_state(2, 2, rng)
+    run = run_mct_controlled(2, 2, blocks, inp)
+    assert run.passed and len(run.branches) == 8
+    assert run.network.party_data == ((0, 1) if phases_first else (1, 0))
+    target = np.kron(np.eye(2), np.diag([1, 1j])) @ inp.amps
+    for branch in run.branches:
+        assert equal_up_to_global_phase(branch.output.amps, target)
 
 
 def test_mct_rejects_non_unitary_blocks():
@@ -396,7 +411,9 @@ def _assert_branches_equal(branches, reference):
         assert np.max(np.abs(branch.output.amps - output)) <= 1e-12
 
 
-@pytest.mark.parametrize("d,sizes", [(2, (1, 1)), (3, (1, 1)), (3, (2, 1))])
+@pytest.mark.parametrize(
+    "d,sizes", [(2, (1, 1)), (3, (1, 1)), (3, (2, 1)), (3, (1, 1, 1)), (4, (1, 1)), (2, (2, 1, 2))]
+)
 @pytest.mark.parametrize("variant", ["controlled", "xcompressed"])
 def test_outcome_labels_match_independent_branches(d, sizes, variant):
     """Each reported outcome tuple carries that branch's own output, phase included.
@@ -422,9 +439,8 @@ def test_outcome_labels_match_independent_branches(d, sizes, variant):
     _assert_branches_equal(run.branches, list(_reference_branches(d, sizes, gates, variant, inp)))
 
     uncorrected = list(_reference_branches(d, sizes, gates, variant, inp, corrections=False))
-    net = Network(d, n, sizes)
-    steps = _controlled_steps(net, _controlled_gates(net, blocks), corrections=False)
-    raw = _run(net, ghz_state(d, n + 1), steps, gates, inp, "all_branches", Tolerance(), None, 0)
+    raw = _run(Network(d, n, sizes), "controlled", gates, inp, "all_branches", Tolerance(), None, 0,
+               corrections=False)
     _assert_branches_equal(raw.branches, uncorrected)
     returned = leader_reduced_density(d, n, blocks, inp)
     for l0 in range(d):  # the returned state is each l0's state

@@ -10,7 +10,7 @@ Matrix conventions: rows are output indices, columns input indices, and
     X|k> = |k+1>,   Y|k> = zeta**(1-2k)|k-1>,   Z|k> = q**k|k>,
     F|k> = d**-0.5 * sum_l q**(k*l)|l>,   G|k> = zeta**(k*k)|k>
 
-with indices mod d.
+with indices mod d, each power of zeta an entry of the table in ``scalars``.
 
 ``apply_to_qudits`` is the one kernel that applies an operator to chosen
 qudits.  An n-qudit operator T also reads as a 2n-qudit register whose qudits
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import DimensionError, Tolerance, zeta
+from .scalars import DimensionError, Tolerance, _check_dim, _zeta
 
 __all__ = [
     "ShapeError",
@@ -53,11 +53,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when array shapes are inconsistent with the declared (d, n)."""
-
-
-def _check_dim(d: int, minimum: int = 2) -> None:
-    if not isinstance(d, (int, np.integer)) or d < minimum:
-        raise DimensionError(f"invalid dimension d={d!r} (need integer >= {minimum})")
 
 
 @dataclass(frozen=True)
@@ -127,37 +122,33 @@ class Operator:
 
 def pauli(d: int, which: str) -> Operator:
     """Generalized Pauli X, Y or Z of dimension d."""
-    _check_dim(d)
-    z = zeta(d)
-    mat = np.zeros((d, d), dtype=complex)
+    _check_dim(d, minimum=2)
+    k = np.arange(d)
     if which == "X":
-        for k in range(d):
-            mat[(k + 1) % d, k] = 1.0
+        rows, exps = k + 1, 0 * k
     elif which == "Y":
-        for k in range(d):
-            mat[(k - 1) % d, k] = z ** ((1 - 2 * k) % (d * d))
+        rows, exps = k - 1, 1 - 2 * k
     elif which == "Z":
-        for k in range(d):
-            mat[k, k] = z ** ((2 * k) % (d * d))
+        rows, exps = k, 2 * k
     else:
         raise ValueError(f"unknown Pauli {which!r} (expected 'X', 'Y' or 'Z')")
+    mat = np.zeros((d, d), dtype=complex)
+    mat[rows % d, k] = _zeta(d, exps)
     return Operator(d, 1, mat)
 
 
 def fourier(d: int) -> Operator:
     """Quantum Fourier transform F with entries d**-0.5 * q**(k*l)."""
-    _check_dim(d)
-    z = zeta(d)
+    _check_dim(d, minimum=2)
     k = np.arange(d)
-    mat = z ** ((2 * np.outer(k, k)) % (d * d)) / np.sqrt(d)
-    return Operator(d, 1, mat)
+    return Operator(d, 1, _zeta(d, 2 * np.outer(k, k)) * d**-0.5)
 
 
 def gauss(d: int) -> Operator:
     """Gaussian diagonal G with entries zeta**(k*k)."""
-    _check_dim(d)
-    z = zeta(d)
-    return Operator(d, 1, np.diag([z ** ((k * k) % (d * d)) for k in range(d)]))
+    _check_dim(d, minimum=2)
+    k = np.arange(d)
+    return Operator(d, 1, np.diag(_zeta(d, k * k)))
 
 
 def basis_state(d: int, ks: Sequence[int]) -> StateVector:
@@ -172,7 +163,7 @@ def basis_state(d: int, ks: Sequence[int]) -> StateVector:
 
 def ghz_state(d: int, n: int) -> StateVector:
     """d**-0.5 * sum_k |k, k, ..., k>."""
-    _check_dim(d)
+    _check_dim(d, minimum=2)
     if n < 1:
         raise DimensionError(f"need n >= 1 qudits, got {n}")
     amps = np.zeros(d**n, dtype=complex)
@@ -183,7 +174,7 @@ def ghz_state(d: int, n: int) -> StateVector:
 
 def max_state(d: int, n: int) -> StateVector:
     """Uniform superposition d**((1-n)/2) over the zero-total-charge sector."""
-    _check_dim(d)
+    _check_dim(d, minimum=2)
     if n < 1:
         raise DimensionError(f"need n >= 1 qudits, got {n}")
     amps = np.zeros(d**n, dtype=complex)

@@ -232,11 +232,12 @@ def _random_input(d: int, n_data: int, rng: np.random.Generator) -> StateVector:
 def _mct_bytes(d: int, n: int, data: int) -> int:
     """Peak bytes of one MCT run on ``data`` data qudits, estimated without running.
 
-    A run holds at most three register-size complex arrays at once: in
-    ``apply_to_qudits`` the state, its transposed copy and the product; in
-    the readout the branch outputs, the phase-scaled target and their
-    difference.  Each of the d**(n+1) branches also holds under 1 KiB: its
-    outcome tuple, index entries and, at the end, its record.
+    A run holds at most three register-size complex arrays at once, in
+    ``apply_to_qudits``: the state, its transposed copy and the product.
+    The readout holds two, the branch outputs and the phase-scaled target,
+    which their difference and its modulus overwrite.  Each of the
+    d**(n+1) branches also holds under 1 KiB: its outcome tuple, index
+    entries and, at the end, its record.
     """
     return 3 * 16 * d ** (data + n + 1) + 1024 * d ** (n + 1)
 

@@ -38,10 +38,10 @@ the window's a_i so far to e.  A multicharge's twist is a window of its
 own, each item adding -k times the items before it.  A charge enters at
 most one window per string and the twist of its multicharge, so a plan is
 linear in the charges, and a batch's frame is a few gathers and running
-sums over the charges' rows (``ir._params``), all read mod 2d: the order
-of zeta, d or 2d, divides both 2d and d*d, and a frame exponent is used
-mod d.  zeta**e joins the final scale, so charge phases stay exact
-integers until that one multiply.
+sums over the charges' rows (``ir._params``), all read mod 2d, as the
+zeta table of ``scalars`` is (a frame exponent is used mod d).  zeta**e
+joins the final scale, so charge phases stay exact integers until that
+one multiply.
 
 Caps, input pairs and everything built from them form a tensor network:
 a list of factors joined by contractions.  A cap is the shared maximally
@@ -103,7 +103,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..algebra import Operator, StateVector
-from ..scalars import PhaseExponent, sqrt_omega_d
+from ..scalars import _frozen, _zeta, sqrt_omega_d
 from .ir import (
     BRAID_NEG,
     BRAID_POS,
@@ -146,23 +146,6 @@ class DiagramValue:
         if self.n_in or self.n_out:
             raise DiagramError("diagram has boundary points; not a scalar")
         return complex(self.array.reshape(-1)[0])
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only, so no slice can write into the cache."""
-    arr.flags.writeable = False
-    return arr
-
-
-@lru_cache(maxsize=None)
-def _zeta_table(d: int) -> np.ndarray:
-    """zeta**e for e < 2d, each from its exactly reduced angle: the order of zeta, d or 2d, divides 2d."""
-    return _frozen(np.array([PhaseExponent(d, e).to_complex() for e in range(2 * d)]))
-
-
-def _zeta(d: int, e):
-    """zeta**e for an integer or an integer array e, looked up in ``_zeta_table``."""
-    return _zeta_table(d)[e % (2 * d)]
 
 
 def _digit_sums(d: int, n: int, power: int = 1) -> np.ndarray:

@@ -33,10 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..algebra import max_state, pauli
-from ..scalars import sqrt_omega_d
+from ..scalars import _zeta, sqrt_omega_d
 from . import dense, symbolic
 from .builtins import builtin
-from .dense import _zeta
 from .ir import (BRAID_NEG, BRAID_POS, CAP, CHARGE, CUP, MULTICHARGE, Diagram, Generator, _SHAPE_CACHE_SIZE, _n_out,
                  _params, _shape)
 
@@ -104,11 +103,10 @@ def _additive_charge(d: int, term: Callable[..., Term]) -> list[RelationCase]:
 
 
 def _para_isotopy(d: int, term: Callable[..., Term]) -> list[RelationCase]:
-    z2 = np.exp(2j * np.pi / d)
     lower, upper = _shape_of(d, 2, (CHARGE, 2), (CHARGE, 1)), _shape_of(d, 2, (CHARGE, 1), (CHARGE, 2))
     lower4, upper4 = _shape_of(d, 4, (CHARGE, 4), (CHARGE, 1)), _shape_of(d, 4, (CHARGE, 1), (CHARGE, 4))
     shapes = {"adjacent": (lower, upper), "gap": (lower4, upper4)}  # gap: two neutral strings in between
-    return [RelationCase(f"{name} k={k},l={l}", [term(1, low, (l, k))], [term(z2 ** (k * l), up, (k, l))])
+    return [RelationCase(f"{name} k={k},l={l}", [term(1, low, (l, k))], [term(_zeta(d, 2 * k * l), up, (k, l))])
             for k in range(d) for l in range(d) for name, (low, up) in shapes.items()]
 
 

@@ -59,9 +59,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..scalars import PhaseExponent, sqrt_omega_d
+from ..scalars import PhaseExponent, _frozen, _zeta_table, sqrt_omega_d
 from .builtins import _bra_slices, _ket_slices
-from .dense import DiagramValue, _frozen, _zeta_table
+from .dense import DiagramValue
 from .ir import (
     BRAID_NEG,
     BRAID_POS,

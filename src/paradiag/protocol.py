@@ -71,7 +71,7 @@ from .algebra import (
     prepare_max,
 )
 from .compression import NotXCompressed, assemble_controlled, is_compressed
-from .scalars import Tolerance, global_phase_deviation, zeta
+from .scalars import Tolerance, _zeta, global_phase_deviation
 
 __all__ = [
     "Network",
@@ -259,7 +259,7 @@ def _outcome_rows(
     controlled = variant == "controlled"
     resource = ghz_state(d, n + 1) if controlled else prepare_max(d, n + 1)
     k = np.arange(d)
-    phase = zeta(d) ** ((2 * np.outer(k, k)) % (d * d))  # q**(a*b) at [a, b]: the controlled-Z
+    phase = _zeta(d, 2 * np.outer(k, k))  # q**(a*b) at [a, b]: the controlled-Z
     f_inv = fourier(d).adjoint().mat
     f_inv_res = np.kron(f_inv, np.eye(d))  # F^-1 on L.res, the first leg of (L.res, L.data)
     if controlled:
@@ -361,7 +361,7 @@ def _run(
     expected = _expected_state(net, gates, input_state).amps
     outcomes = list(itertools.product(range(net.d), repeat=net.n + 1))
     outputs = rows[order[picks]]
-    del rows  # the deviations below hold two more register-size arrays
+    del rows  # the deviations below hold one more register-size array
     outputs /= np.sqrt(probs[picks])[:, None]
     devs = global_phase_deviation(outputs, expected).tolist()
     branches = []

@@ -11,7 +11,10 @@ Conventions fixed here and relied on everywhere else:
 
 Exact scalars of the form ``zeta**a * d**(b/2)`` are kept as integer
 exponents in :class:`PhaseExponent`; everything else (sums over Z_d) lives
-in ordinary complex floats guarded by :class:`Tolerance`.
+in ordinary complex floats guarded by :class:`Tolerance`.  Every power of
+zeta as a float, in this module and every other, is read from
+``_zeta_table``: 2d entries, each ``PhaseExponent.to_complex`` of its
+exponent, built on first use.  No float power of zeta is ever taken.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +31,6 @@ __all__ = [
     "PhaseExponent",
     "Tolerance",
     "zeta",
-    "zeta_exponent_base",
     "omega",
     "sqrt_omega_d",
     "equal_up_to_global_phase",
@@ -44,24 +47,17 @@ def _check_dim(d: int, minimum: int = 1) -> None:
         raise DimensionError(f"invalid dimension d={d!r} (need integer >= {minimum})")
 
 
-def zeta_exponent_base(d: int) -> float:
-    """Return beta such that zeta(d) = exp(i*pi*beta); beta = 1/d or (d+1)/d."""
-    _check_dim(d)
-    if d % 2 == 0:
-        return 1.0 / d
-    return (d + 1) / d
-
-
 def zeta(d: int) -> complex:
     """The fixed square root of q = exp(2*pi*i/d) with zeta**(d*d) == 1."""
-    return cmath.exp(1j * math.pi * zeta_exponent_base(d))
+    _check_dim(d)
+    return complex(_zeta(d, 1))
 
 
 def omega(d: int) -> complex:
     """Normalized quadratic Gauss sum d**-0.5 * sum_j zeta**(j*j)."""
     _check_dim(d)
-    z = zeta(d)
-    return sum(z ** (j * j) for j in range(d)) / math.sqrt(d)
+    j = np.arange(d)
+    return complex(_zeta(d, j * j).sum()) / math.sqrt(d)
 
 
 def sqrt_omega_d(d: int) -> complex:
@@ -130,6 +126,23 @@ class PhaseExponent:
         return cmath.exp(1j * math.pi * angle) * self.d ** (self.sqrtd_exp / 2)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so no caller can write into the cache."""
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _zeta_table(d: int) -> np.ndarray:
+    """zeta**e for e < 2d, each from its exactly reduced angle: the order of zeta, d or 2d, divides 2d."""
+    return _frozen(np.array([PhaseExponent(d, e).to_complex() for e in range(2 * d)]))
+
+
+def _zeta(d: int, e):
+    """zeta**e for an integer or an integer array e, looked up in ``_zeta_table``."""
+    return _zeta_table(d)[e % (2 * d)]
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute comparison tolerance for floating checks."""
@@ -171,7 +184,13 @@ def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
             c = np.divide(ratio, mag, out=np.ones_like(ratio), where=mag > 0)
             # with b spelled out to the stack's shape, numpy rounds each row's
             # product as for that row alone, one-entry rows included
-            dev = np.max(np.abs(rows - c[..., None] * np.broadcast_to(b, rows.shape)), axis=-1)
+            diff = c[..., None] * np.broadcast_to(b, rows.shape)
+            np.subtract(rows, diff, out=diff)
+            # on one flat axis numpy sees each modulus read before its slot
+            # is written, so it needs no copy: one stack-size temporary in all
+            flat = diff.reshape(-1)
+            np.abs(flat, out=flat.real)
+            dev = np.max(diff.real, axis=-1)
     return dev if lead else float(dev)
 
 

@@ -107,7 +107,7 @@ def test_criterion_3_resource_state_identity():
     _report(
         3,
         "(F x..x F)|Max> = |GHZ> for d in {2,3,4}, n in {1..4}; |omega|=1 for d <= 16",
-        worst <= 1e-9 and omega_dev <= 1e-12,
+        worst <= 1e-9 and omega_dev <= 1e-15,
         f"max_dev={worst:.2e}, omega_dev={omega_dev:.2e}",
     )
 

@@ -28,7 +28,7 @@ from paradiag.algebra import (
     state_from_json,
     state_to_json,
 )
-from paradiag.scalars import DimensionError, Tolerance, omega, zeta
+from paradiag.scalars import DimensionError, PhaseExponent, Tolerance, omega, zeta
 
 
 def test_pauli_qubit_matrices():
@@ -55,6 +55,32 @@ def test_fourier_and_gauss_entries():
 
 def test_fourier_unitary_d5():
     assert fourier(5).is_unitary()
+
+
+def test_pauli_fourier_gauss_entries_are_exact_phases():
+    """Every entry is PhaseExponent's value of its zeta exponent bit for bit, the one phase rule."""
+    for d in range(2, 65):
+        k, l = np.arange(d), np.arange(d)[:, None]
+
+        def exact(exps, sqrtd_exp=0):
+            return np.array([[PhaseExponent(d, int(e), sqrtd_exp).to_complex() for e in row] for row in exps])
+
+        diag = np.eye(d, dtype=bool)
+        cases = [
+            (pauli(d, "X").mat, np.roll(diag, 1, axis=0), exact(0 * l + 0 * k)),
+            (pauli(d, "Y").mat, np.roll(diag, -1, axis=0), exact(0 * l + 1 - 2 * k)),
+            (pauli(d, "Z").mat, diag, exact(0 * l + 2 * k)),
+            (gauss(d).mat, diag, exact(0 * l + k * k)),
+            (fourier(d).mat, np.ones((d, d), dtype=bool), exact(2 * l * k, sqrtd_exp=-1)),
+        ]
+        for mat, support, want in cases:
+            assert np.array_equal(mat[support], want[support]), d
+            assert not mat[~support].any(), d
+
+
+def test_fourier_d64_is_unitary_to_rounding():
+    f = fourier(64).mat
+    assert np.max(np.abs(f @ f.conj().T - np.eye(64))) <= 5e-16
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

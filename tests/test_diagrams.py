@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paradiag import scalars
 from paradiag.algebra import max_state, pauli
 from paradiag.diagrams import (
     BRAID_NEG,
@@ -236,7 +237,7 @@ def _frame_on(t, diag):
     acts = [act for _, _, act in plan.steps if act is not None]
     assert len(acts) == 3  # every string's frame is absorbed once
     e, digits = dense._frame(plan, diag.d, np.array([_params(diag)], dtype=np.int64))
-    out = t * dense._zeta(d, e[0])
+    out = t * scalars._zeta(d, e[0])
     for p, (_, _, key) in zip((1, 3, 5), acts):
         if key is not None:  # else no charge reached the pair
             idx, ph = dense._pauli_pairs(d, digits[:, key])
@@ -451,7 +452,7 @@ def test_charge_only_diagrams_leave_cached_arrays_alone(d):
 
     charged = Diagram(d, 4, _charges(d, (4, 3, 2, 1)) + (Generator(MULTICHARGE, items=((1, 2), (3, 1))),))
     cached = [dense._input_pair(d), dense._cap_pair(d), dense.pair_isometry(d),
-              dense._pair_adjoint(d), dense._cap_vector(d), dense._zeta_table(d),
+              dense._pair_adjoint(d), dense._cap_vector(d), scalars._zeta_table(d),
               dense._order_phases(d, 2), dense._braid_gate(d, True), *dense._pair_digits(d)]
     before = [arr.copy() for arr in cached]
     for diag in (charged, builtin("X", d), builtin("Y", d), builtin("Z", d), builtin("bell", d)):
@@ -465,15 +466,13 @@ def test_charge_only_diagrams_leave_cached_arrays_alone(d):
 
 def test_zeta_lookup_is_exact_from_a_table_of_2d_entries():
     """zeta**e read from 2d entries equals PhaseExponent's value bit for bit, for any integer e."""
-    from paradiag.diagrams import dense
-
     for d in range(1, 41):
-        assert dense._zeta_table(d).shape == (2 * d,)
+        assert scalars._zeta_table(d).shape == (2 * d,)
         e = np.arange(-3 * d * d, 3 * d * d)
         want = np.array([PhaseExponent(d, x).to_complex() for x in e.tolist()])
-        assert dense._zeta(d, e).tobytes() == want.tobytes()
-        scalars = np.array([dense._zeta(d, x) for x in e[::7].tolist()])  # Python ints
-        assert scalars.tobytes() == want[::7].tobytes()
+        assert scalars._zeta(d, e).tobytes() == want.tobytes()
+        looked_up = np.array([scalars._zeta(d, x) for x in e[::7].tolist()])  # Python ints
+        assert looked_up.tobytes() == want[::7].tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

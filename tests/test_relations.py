@@ -32,13 +32,17 @@ def test_unknown_relation_raises():
         check_relation("knot_invariance", 2)
 
 
+# relations whose stated sides are exact phases from the zeta table: rounding alone
+_ROUNDING_BOUND = {"para_isotopy": 2e-15, "pauli_diagrams": 2e-15}
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 @pytest.mark.parametrize("relation", RELATION_IDS)
 def test_relations_pass_small_dimensions(relation, d):
     """Every relation at every d the relations command accepts."""
     report = check_relation(relation, d)
     assert report.passed, f"{relation} d={d}: max dev {report.max_dev}"
-    assert report.max_dev <= 1e-9
+    assert report.max_dev <= _ROUNDING_BOUND.get(relation, 1e-9)
 
 
 def test_para_isotopy_d3_case_labels():

@@ -35,6 +35,19 @@ def test_zeta_branch_identities():
         assert abs(z ** (d * d) - 1) < 1e-12
 
 
+def test_zeta_is_the_table_entry_and_the_branch_value():
+    """zeta(d) reads the table, which for d >= 2 is exp(i*pi*beta) of the branch bit for bit."""
+    for d in range(1, 65):
+        assert zeta(d) == PhaseExponent(d, 1).to_complex()
+        if d >= 2:
+            beta = 1.0 / d if d % 2 == 0 else (d + 1) / d
+            assert zeta(d) == cmath.exp(1j * math.pi * beta)
+
+
+def test_omega_has_unit_modulus_to_rounding():
+    assert max(abs(abs(omega(d)) - 1) for d in range(1, 65)) <= 1e-15
+
+
 def test_zeta_rejects_zero_dimension():
     with pytest.raises(DimensionError):
         zeta(0)
@@ -132,3 +145,24 @@ def test_global_phase_deviation_stacked_equals_per_row(shape):
         assert deeper.shape == (5, 1) and deeper.reshape(-1).tolist() == singles
     with pytest.raises(ValueError):
         global_phase_deviation(stack, b.reshape(-1)[:-1] if b.size > 1 else np.zeros(2))
+
+
+def test_global_phase_deviation_holds_one_temporary():
+    """The readout writes the difference and its modulus over the scaled target: one stack-size array."""
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(27, 4096)) + 1j * rng.normal(size=(27, 4096))
+    b = stack[5].copy()
+    idx = np.argmax(np.abs(b))
+    c = stack[:, idx] / b[idx]
+    want = np.max(np.abs(stack - (c / np.abs(c))[:, None] * b), axis=-1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dev = global_phase_deviation(stack, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * stack.nbytes, peak / stack.nbytes
+    assert dev[5] <= 1e-15 and np.allclose(dev, want, rtol=0, atol=1e-12)

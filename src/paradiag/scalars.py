@@ -14,7 +14,7 @@ exponents in :class:`PhaseExponent`; everything else (sums over Z_d) lives
 in ordinary complex floats guarded by :class:`Tolerance`.  Every power of
 zeta as a float, in this module and every other, is read from
 ``_zeta_table``: 2d entries, each ``PhaseExponent.to_complex`` of its
-exponent, built on first use.  No float power of zeta is ever taken.
+exponent, built on first use; no code raises a float zeta to a power.
 """
 
 from __future__ import annotations

@@ -58,24 +58,20 @@ def test_fourier_unitary_d5():
 
 
 def test_pauli_fourier_gauss_entries_are_exact_phases():
-    """Every entry is PhaseExponent's value of its zeta exponent bit for bit, the one phase rule."""
+    """Every entry is PhaseExponent's value of its zeta exponent, bit for bit, for d = 2..64."""
     for d in range(2, 65):
-        k, l = np.arange(d), np.arange(d)[:, None]
+        k = np.arange(d)
 
-        def exact(exps, sqrtd_exp=0):
-            return np.array([[PhaseExponent(d, int(e), sqrtd_exp).to_complex() for e in row] for row in exps])
+        def phases(exps, sqrtd_exp=0):
+            return [PhaseExponent(d, int(e), sqrtd_exp).to_complex() for e in np.ravel(exps)]
 
-        diag = np.eye(d, dtype=bool)
-        cases = [
-            (pauli(d, "X").mat, np.roll(diag, 1, axis=0), exact(0 * l + 0 * k)),
-            (pauli(d, "Y").mat, np.roll(diag, -1, axis=0), exact(0 * l + 1 - 2 * k)),
-            (pauli(d, "Z").mat, diag, exact(0 * l + 2 * k)),
-            (gauss(d).mat, diag, exact(0 * l + k * k)),
-            (fourier(d).mat, np.ones((d, d), dtype=bool), exact(2 * l * k, sqrtd_exp=-1)),
-        ]
-        for mat, support, want in cases:
-            assert np.array_equal(mat[support], want[support]), d
-            assert not mat[~support].any(), d
+        for mat, rows, exps in ((pauli(d, "X").mat, k + 1, 0 * k), (pauli(d, "Y").mat, k - 1, 1 - 2 * k),
+                                (pauli(d, "Z").mat, k, 2 * k), (gauss(d).mat, k, k * k)):
+            want = np.zeros((d, d), dtype=complex)
+            want[rows % d, k] = phases(exps)
+            assert np.array_equal(mat, want), d
+        want = np.reshape(phases(2 * np.outer(k, k), sqrtd_exp=-1), (d, d))
+        assert np.array_equal(fourier(d).mat, want), d
 
 
 def test_fourier_d64_is_unitary_to_rounding():

@@ -232,14 +232,15 @@ def _random_input(d: int, n_data: int, rng: np.random.Generator) -> StateVector:
 def _mct_bytes(d: int, n: int, data: int) -> int:
     """Peak bytes of one MCT run on ``data`` data qudits, estimated without running.
 
-    A run holds at most three register-size complex arrays at once, in
-    ``apply_to_qudits``: the state, its transposed copy and the product.
-    The readout holds two, the branch outputs and the phase-scaled target,
-    which their difference and its modulus overwrite.  Each of the
+    The protocol pass and the readout's probabilities, normalization and
+    phase deviations work on the d**2 live rows of the register; only the
+    branch outputs, gathered from them, are register-size.  Each of the
     d**(n+1) branches also holds under 1 KiB: its outcome tuple, index
-    entries and, at the end, its record.
+    entries and, at the end, its record.  A fixed 64 KiB covers the rest,
+    which outweighs the register in small runs: the party matrices, the
+    unitarity checks and the target.
     """
-    return 3 * 16 * d ** (data + n + 1) + 1024 * d ** (n + 1)
+    return 16 * d ** (data + n + 1) + 1024 * d ** (n + 1) + 64 * 1024
 
 
 def cmd_mct(args: argparse.Namespace) -> int:

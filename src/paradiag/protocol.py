@@ -7,8 +7,7 @@ data qudits in input order:
     [P1.res, ..., Pn.res, L.res, P1.data.., ..., Pn.data.., L.data]
 
 The data qudits [P1.data.., ..., Pn.data.., L.data] keep the qudit order of
-the input state and of ``target_unitary``, so the register starts as the
-outer product of the resource state and the input.
+the input state and of ``target_unitary``.
 
 Controlled variant (GHZ resource): the leader applies F^-1 on its resource
 qudit, a controlled-Z against its data qudit and F^-1 again; l0 is its
@@ -31,23 +30,40 @@ by ``trick_identity_deviation``.
 
 Each variant is one pass: by the deferred-measurement principle every
 classically controlled correction is a controlled gate from the qudit that
-would have been measured, so all meters move to the end.  The final state,
-read with the resource qudits as row index and the data qudits as column
-index, holds branch (l1, ..., ln, l0) in its rows, read out in lexicographic
-(l0, l1, ..., ln) order: norms squared are the probabilities, normalized
-rows the outputs.
+would have been measured, so all meters move to the end, and branch
+(l0, l1, ..., ln) is one row of the final state read with the resource
+qudits as row index and the data qudits as column index.  Norms squared
+are the probabilities, normalized rows the outputs.
 
-The pass groups the gates by kind, not by party.  A party's steps touch
-L.res only as a control, L.data only through a diagonal phase or a shift
-controlled by its own resource qudit, and no other party's qudits, so steps
-of two parties commute; each party's own steps keep their order.  The
-resource qudits lead the register, so a gate on them alone acts on whole
-data rows.  In turn: the leader's gates as one d^2 x d^2 gate on (L.res,
-L.data), in which CX CX^-1 is exactly the identity; every adder as one row
-gather, or every controlled-Z^-1 as one row phase; each party's gate as one
-``apply_to_qudits`` call; every party's F^-1 as one product over its row
-digit and every Z^(l_j) as one phase q^((l1 + ... + ln) x) on the L.data
-digit x, or every X^(m_j) as one shift of L.data in each row.
+Of the d^(n+1) resource rows, the pass computes only the d^2 that are
+live before the party meters.  The GHZ resource is d^-1/2 sum_k |k, ..., k>;
+the leader's gates send L.res from k to its meter l0, and the adders send
+every party's resource digit to c = k + l0 mod d, so the live rows are
+(c, ..., c, l0), one per GHZ digit k and meter l0.  The X-compressed
+variant lives on the same rows in the F^-1 frame, by two identities:
+
+- the Max resource is F^-1 on every qudit of the GHZ state;
+- Z^-l0 F^-1 |k> = F^-1 |k + l0>, so the controlled-Z^-1 from L.res is the
+  adder of the frame digit.
+
+The pass holds the live block w[l0, k, data] and, in turn:
+
+1. applies the leader's gates as one d^2 x d^2 gate on (L.res, L.data),
+   F^-1 CZ F^-1, or F^-1 CX F^-1 with L.res read through F^-1 (CX CX^-1 is
+   exactly the identity), from the input times d^-1/2 in every k;
+2. applies party j's gate to row (l0, k) as its block B_j(c): block c of
+   the controlled gate, or of (I x F) T_j (I x F^-1), which is
+   block-diagonal exactly when T_j is X-compressed;
+3. reads the party meters: on the live rows the n factors F^-1[l_j, c]
+   (controlled) or <m_j| F^-1 |c> (X-compressed) make
+   d^(-n/2) zeta^(-2 c t), with t = l1 + ... + ln mod d, so the meters
+   leave one row R[l0, t] per meter l0 and sum t;
+4. applies the corrections to R, Z^t or X^t on L.data.
+
+Branch (l0, l1, ..., ln) is then the row R[l0, t].  The readout computes
+probabilities, normalized outputs and deviations from the target on the d^2
+rows of R, and one gather copies the branch outputs out of them in
+lexicographic outcome order.
 """
 
 from __future__ import annotations
@@ -65,10 +81,8 @@ from .algebra import (
     _controlled_add,
     apply_to_qudits,
     fourier,
-    ghz_state,
     partial_trace,
     pauli,
-    prepare_max,
 )
 from .compression import NotXCompressed, assemble_controlled, is_compressed
 from .scalars import Tolerance, _zeta, global_phase_deviation
@@ -249,52 +263,53 @@ def _outcome_rows(
     variant: str,
     corrections: bool = True,
 ) -> np.ndarray:
-    """The block pass of the module docstring; rows are indexed by (l1, ..., ln, l0).
+    """The live-row pass of the module docstring: the rows R[l0, t], stacked.
 
-    Columns are indexed by the data qudits.  Controlled gates[j] have legs
-    [data.., control]; X-compressed gates[j] have the leader leg last.
+    Row l0 * d + t is every branch (l0, l1, ..., ln) with l1 + ... + ln = t
+    mod d (``_outcome_index``); columns are indexed by the data qudits.
+    Controlled gates[j] have legs [data.., control]; X-compressed gates[j]
+    have the leader leg last.
     ``corrections=False`` leaves out the controlled variant's Z^(l_j).
     """
     d, n = net.d, net.n
     controlled = variant == "controlled"
-    resource = ghz_state(d, n + 1) if controlled else prepare_max(d, n + 1)
     k = np.arange(d)
+    c = (k[:, None] + k) % d  # the parties' resource digit in live row (l0, k)
     phase = _zeta(d, 2 * np.outer(k, k))  # q**(a*b) at [a, b]: the controlled-Z
-    f_inv = fourier(d).adjoint().mat
+    f = fourier(d).mat
+    f_inv = f.conj().T
     f_inv_res = np.kron(f_inv, np.eye(d))  # F^-1 on L.res, the first leg of (L.res, L.data)
-    if controlled:
-        leader = f_inv_res @ np.diag(phase.reshape(-1)) @ f_inv_res
-    else:  # CX CX^-1 F^-1 CX, where CX CX^-1 is exactly the identity
-        leader = f_inv_res @ _controlled_add(d)
-    # the input-first product keeps every amplitude bitwise equal to kron(input, resource)
-    state = apply_to_qudits(
-        leader,
-        StateVector(d, net.total_qudits, np.multiply.outer(input_state.amps, resource.amps).T.reshape(-1)),
-        (net.leader_resource_position, net.leader_data_position),
+    # F^-1 CZ F^-1, or F^-1 CX (CX CX^-1 is exactly the identity) on L.res read through F^-1
+    leader = f_inv_res @ (np.diag(phase.reshape(-1)) if controlled else _controlled_add(d)) @ f_inv_res
+    # w[l0, k, rest, x'] = sum_x input[rest, x] leader[(l0, x'), (k, x)] / sqrt(d)
+    w = np.matmul(
+        input_state.amps.reshape(-1, d) * (1 / np.sqrt(d)),
+        leader.reshape(d, d, d, d).transpose(0, 2, 3, 1),
     )
+    before = 1
+    for size, gate in zip(net.party_data, gates):
+        width = d**size
+        gate = gate.reshape(width, d, width, d)
+        if controlled:
+            blocks = gate[:, k, :, k]
+        else:  # the diagonal blocks of (I x F) T_j (I x F^-1)
+            blocks = np.einsum("cb,ibje,ec->cij", f, gate, f_inv)
+        w = np.matmul(blocks[c][:, :, None], w.reshape(d, d, before, width, -1))
+        before *= width
+    # every party meter at once: R[l0, t] = sum_k d^(-n/2) zeta^(-2 c t) w[l0, k]
+    meters = _zeta(d, -2 * c[:, None, :] * k[:, None]) * d ** (-n / 2)
+    rows = np.matmul(meters, w.reshape(d, d, -1)).reshape(d, d, -1, d)  # (l0, t, other data, L.data)
+    if corrections and controlled:  # every Z^(l_j): q^(t x) on the L.data digit x
+        rows *= phase[:, None, :]
+    elif corrections:  # every X^(m_j): L.data digit x takes x - t
+        rows = np.take_along_axis(rows, ((k - k[:, None]) % d)[None, :, None, :], axis=3)
+    return rows.reshape(d * d, -1)
 
-    digits = np.indices((d,) * (n + 1)).reshape(n + 1, -1)  # (l1, ..., ln, l0) of each row
-    total = digits[:n, ::d].sum(axis=0) % d  # l1 + ... + ln of each block of d rows
-    if controlled:  # every adder: row (.., lj, .., l0) takes row (.., lj - l0, .., l0)
-        src = np.ravel_multi_index((*((digits[:n] - digits[n]) % d), digits[n]), (d,) * (n + 1))
-        state = StateVector(
-            d, net.total_qudits, state.amps.reshape(d ** (n + 1), -1)[src].reshape(-1)
-        )
-    else:  # every controlled-Z^-1 from L.res onto Pj.res
-        state.amps.reshape(d**n, d, -1)[...] *= phase.conj()[total][:, :, None]
-    for j, gate in enumerate(gates, start=1):
-        state = apply_to_qudits(gate, state, (*net.party_data_positions(j), net.party_resource_position(j)))
-    rows = state.amps.reshape(d**n, d, -1, d)  # (l1 ... ln, l0, other data, L.data)
-    del state  # each pass below frees the array it replaces
-    if not controlled:  # every X^(m_j) correction
-        shift = (k - total[:, None]) % d
-        return np.take_along_axis(rows, shift[:, None, None, :], axis=3).reshape(d ** (n + 1), -1)
-    for a in range(n):  # F^-1 on P(a+1).res
-        rows = np.matmul(f_inv, rows.reshape(d**a, d, -1))
-    rows = rows.reshape(d**n, d, -1, d)
-    if corrections:  # every controlled-Z from Pj.res onto L.data
-        rows *= phase[total][:, None, None, :]
-    return rows.reshape(d ** (n + 1), -1)
+
+def _outcome_index(d: int, n: int) -> np.ndarray:
+    """The row of ``_outcome_rows`` of each outcome (l0, l1, ..., ln), in lexicographic order."""
+    total = np.indices((d,) * n).reshape(n, -1).sum(axis=0) % d  # t of each (l1, ..., ln)
+    return (d * np.arange(d)[:, None] + total).reshape(-1)
 
 
 def _expected_state(
@@ -342,39 +357,31 @@ def _run(
     samples: int,
     corrections: bool = True,
 ) -> ProtocolRun:
-    """One deferred-measurement pass, read out branch by branch.
+    """One deferred-measurement pass, read out on its live rows, then branch by branch.
 
     ``all_branches`` lists every outcome tuple of nonzero probability in
     lexicographic order; ``sample`` draws ``samples`` tuples from the exact
     joint distribution.
     """
-    rows = _outcome_rows(net, gates, input_state, variant, corrections)
-    # order[i] is the row of the i-th outcome tuple (l0, l1, ..., ln)
-    order = np.arange(net.d ** (net.n + 1)).reshape(-1, net.d).T.reshape(-1)
-    probs = np.sum(np.abs(rows) ** 2, axis=1)[order]
+    live = _outcome_rows(net, gates, input_state, variant, corrections)
+    index = _outcome_index(net.d, net.n)
+    live_probs = np.sum(np.abs(live) ** 2, axis=1)
+    probs = live_probs[index]
     if mode == "all_branches":
         picks = np.flatnonzero(probs > 1e-15)
     elif mode == "sample":
         picks = np.random.default_rng(seed).choice(len(probs), size=samples, p=probs / probs.sum())
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    expected = _expected_state(net, gates, input_state).amps
+    norms = np.sqrt(live_probs)[:, None]
+    np.divide(live, norms, out=live, where=norms > 0)  # a row of probability 0 is never picked
+    devs = global_phase_deviation(live, _expected_state(net, gates, input_state).amps)
     outcomes = list(itertools.product(range(net.d), repeat=net.n + 1))
-    outputs = rows[order[picks]]
-    del rows  # the deviations below hold one more register-size array
-    outputs /= np.sqrt(probs[picks])[:, None]
-    devs = global_phase_deviation(outputs, expected).tolist()
-    branches = []
-    for i, amps, dev in zip(picks, outputs, devs):
-        branches.append(
-            BranchResult(
-                outcomes=outcomes[i],
-                probability=float(probs[i]),
-                output=StateVector(net.d, net.data_qudits, amps),
-                match=dev <= tol.eps,
-                max_dev=dev,
-            )
-        )
+    m, rows = net.data_qudits, index[picks]
+    branches = [
+        BranchResult(outcomes[i], p, StateVector(net.d, m, amps), dev <= tol.eps, dev)
+        for i, p, amps, dev in zip(picks.tolist(), probs[picks].tolist(), live[rows], devs[rows].tolist())
+    ]
     passed = all(b.match for b in branches)
     return ProtocolRun(net, mode, tuple(branches), _cost_report(net), passed)
 
@@ -484,6 +491,7 @@ def leader_reduced_density(
     net = Network(d, n, _party_sizes(blocks))
     _check_input(net, input_state)
     rows = _outcome_rows(net, _controlled_gates(net, blocks), input_state, "controlled", corrections=False)
+    rows = rows[_outcome_index(d, n)]
     # the meters dephase the resource qudits in the computational basis; the
     # leader-data reduced state is unchanged by that, so tracing the whole
     # register out is exactly the outcome-averaged state

@@ -542,24 +542,46 @@ def test_mct_refuses_oversized_network(capsys, tmp_path, monkeypatch, source):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("d, n", [(3, 4), (2, 6)])
-def test_mct_estimate_covers_a_run(d, n):
-    """A controlled run's traced peak stays within the bytes the mct guard charges."""
+def _traced_peak(run, *args):
     import tracemalloc
 
-    from paradiag.protocol import run_mct_controlled
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d, n", [(3, 4), (2, 6), (2, 8), (3, 2)])
+def test_mct_estimate_covers_a_run(d, n):
+    """Both variants' traced peaks stay within the bytes the mct guard charges."""
+    from paradiag.protocol import run_mct_controlled, run_mct_xcompressed
 
     rng = np.random.default_rng(d * 10 + n)
     blocks = [[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)]
+    f = fourier(d)
+    parties = [
+        embed_operator(f.adjoint(), [2], 2) @ assemble_controlled(b, 2, 2) @ embed_operator(f, [2], 2)
+        for b in blocks
+    ]
     amps = rng.standard_normal(d ** (n + 1)) + 1j * rng.standard_normal(d ** (n + 1))
     inp = StateVector(d, n + 1, amps / np.linalg.norm(amps))
-    tracemalloc.start()
-    try:
-        run_mct_controlled(d, n, blocks, inp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _mct_bytes(d, n, n + 1), (peak, _mct_bytes(d, n, n + 1))
+    charged = _mct_bytes(d, n, n + 1)
+    assert _traced_peak(run_mct_controlled, d, n, blocks, inp) <= charged
+    assert _traced_peak(run_mct_xcompressed, d, n, parties, inp) <= charged
+
+
+def test_mct_estimate_covers_a_party_without_data():
+    """A tiny controlled run, whose fixed costs outweigh its register, stays within the guard."""
+    from paradiag.protocol import run_mct_controlled
+
+    d, sizes = 3, (0, 2)
+    rng = np.random.default_rng(47)
+    blocks = [[random_unitary(d, m, rng) for _ in range(d)] for m in sizes]
+    amps = rng.standard_normal(d**3) + 1j * rng.standard_normal(d**3)
+    inp = StateVector(d, 3, amps / np.linalg.norm(amps))
+    assert _traced_peak(run_mct_controlled, d, 2, blocks, inp) <= _mct_bytes(d, 2, 3)
 
 
 def test_mct_requires_block_source(capsys):

@@ -412,7 +412,11 @@ def _assert_branches_equal(branches, reference):
 
 
 @pytest.mark.parametrize(
-    "d,sizes", [(2, (1, 1)), (3, (1, 1)), (3, (2, 1)), (3, (1, 1, 1)), (4, (1, 1)), (2, (2, 1, 2))]
+    "d,sizes",
+    [
+        (2, (1, 1)), (3, (1, 1)), (3, (2, 1)), (3, (1, 1, 1)), (4, (1, 1)), (2, (2, 1, 2)),
+        (5, (1,)), (5, (1, 1)), (2, (1, 1, 1, 1, 1)),
+    ],
 )
 @pytest.mark.parametrize("variant", ["controlled", "xcompressed"])
 def test_outcome_labels_match_independent_branches(d, sizes, variant):
@@ -451,3 +455,28 @@ def test_outcome_labels_match_independent_branches(d, sizes, variant):
                 rho += prob * leader.T @ leader.conj()
         rho /= np.trace(rho).real
         assert np.max(np.abs(returned - rho)) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["controlled", "xcompressed"])
+def test_no_register_size_operator_pass(variant, monkeypatch):
+    """A run applies no operator to the d^(n+1+data)-amplitude deferred-measurement register."""
+    from paradiag import protocol
+
+    d, sizes = 3, (1, 2)
+    n, data = len(sizes), sum(sizes) + 1
+    seen, kernel = [], protocol.apply_to_qudits
+
+    def spy(op_mat, state, qudits):
+        seen.append(state.amps.size)
+        return kernel(op_mat, state, qudits)
+
+    monkeypatch.setattr(protocol, "apply_to_qudits", spy)
+    rng = np.random.default_rng(17)
+    inp = _random_state(d, data, rng)
+    if variant == "controlled":
+        blocks = [[random_unitary(d, m, rng) for _ in range(d)] for m in sizes]
+        run = run_mct_controlled(d, n, blocks, inp)
+    else:
+        run = run_mct_xcompressed(d, n, [_x_compressed_gate(d, m, rng) for m in sizes], inp)
+    assert run.passed and seen
+    assert max(seen) < d ** (n + 1 + data), seen

@@ -32,15 +32,15 @@ Each variant is one pass: by the deferred-measurement principle every
 classically controlled correction is a controlled gate from the qudit that
 would have been measured, so all meters move to the end, and branch
 (l0, l1, ..., ln) is one row of the final state read with the resource
-qudits as row index and the data qudits as column index.  Norms squared
-are the probabilities, normalized rows the outputs.
+qudits as row index and the data qudits as column index.
 
 Of the d^(n+1) resource rows, the pass computes only the d^2 that are
 live before the party meters.  The GHZ resource is d^-1/2 sum_k |k, ..., k>;
-the leader's gates send L.res from k to its meter l0, and the adders send
-every party's resource digit to c = k + l0 mod d, so the live rows are
-(c, ..., c, l0), one per GHZ digit k and meter l0.  The X-compressed
-variant lives on the same rows in the F^-1 frame, by two identities:
+the leader's gates take L.res from the GHZ digit k to its meter value l0,
+and the adders take every party's resource digit to c = k + l0 mod d, so
+the live rows are (c, ..., c, l0), one per GHZ digit k and meter l0.  The
+X-compressed variant lives on the same rows in the F^-1 frame, by two
+identities:
 
 - the Max resource is F^-1 on every qudit of the GHZ state;
 - Z^-l0 F^-1 |k> = F^-1 |k + l0>, so the controlled-Z^-1 from L.res is the

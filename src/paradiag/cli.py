@@ -229,18 +229,22 @@ def _random_input(d: int, n_data: int, rng: np.random.Generator) -> StateVector:
     return StateVector(d, n_data, amps / np.linalg.norm(amps))
 
 
-def _mct_bytes(d: int, n: int, data: int) -> int:
-    """Peak bytes of one MCT run on ``data`` data qudits, estimated without running.
+def _mct_bytes(d: int, sizes: tuple[int, ...]) -> int:
+    """Peak bytes of one MCT run whose parties hold ``sizes`` data qudits, estimated without running.
 
-    The protocol pass and the readout's probabilities, normalization and
-    phase deviations work on the d**2 live rows of the register; only the
-    branch outputs, gathered from them, are register-size.  Each of the
+    A run holds at most, at once: its branch outputs, as large as the
+    register of d**(n+1+data) amplitudes; two arrays of the d**2 live rows
+    (d**(2+data) amplitudes), the pass's old and new block or the readout's
+    rows and their scaled copy; and five arrays the size of each party's
+    gate, d**(2s+2) entries for s data qudits, for its assembled gate and
+    the unitarity and compression checks' temporaries.  Each of the
     d**(n+1) branches also holds under 1 KiB: its outcome tuple, index
-    entries and, at the end, its record.  A fixed 64 KiB covers the rest,
-    which outweighs the register in small runs: the party matrices, the
-    unitarity checks and the target.
+    entries and record.  A fixed 64 KiB covers the rest, such as numpy's
+    iterator buffers and interpreter objects.
     """
-    return 16 * d ** (data + n + 1) + 1024 * d ** (n + 1) + 64 * 1024
+    n, data = len(sizes), sum(sizes) + 1
+    parties = sum(5 * d ** (2 * s + 2) for s in sizes)
+    return 16 * (d ** (n + 1 + data) + 2 * d ** (2 + data) + parties) + 1024 * d ** (n + 1) + 64 * 1024
 
 
 def cmd_mct(args: argparse.Namespace) -> int:
@@ -266,16 +270,17 @@ def cmd_mct(args: argparse.Namespace) -> int:
             _summary(f"error: {args.blocks} holds d={d}, n={n}, "
                      f"but --d {args.d} --n {args.n} was given")
             return EXIT_INVALID
-        data = sum(b[0].n for b in parties) + 1  # data qudits, the leader's included
+        sizes = tuple(b[0].n for b in parties)
         trials = [(parties, input_state, args.seed)]
     else:
-        data = n + 1
+        sizes = (1,) * n
         # one sampling seed per trial, so sample-mode trials draw independently;
         # lazy, so that rng gives each trial's parties, then its input, in turn
         trials = (([[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)], None,
                    int(child.generate_state(1)[0]))
                   for child in np.random.SeedSequence(args.seed).spawn(args.random))
-    if _refuse_oversized(_mct_bytes(d, n, data), "mct", f"a register of {data + n + 1} qudits"):
+    data = sum(sizes) + 1  # data qudits, the leader's included
+    if _refuse_oversized(_mct_bytes(d, sizes), "mct", f"a register of {data + n + 1} qudits"):
         return EXIT_INVALID
     runs = []  # reports only: a run's branch outputs are as large as its register
     try:

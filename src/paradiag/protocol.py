@@ -46,14 +46,18 @@ identities:
 - Z^-l0 F^-1 |k> = F^-1 |k + l0>, so the controlled-Z^-1 from L.res is the
   adder of the frame digit.
 
-The pass holds the live block w[l0, k, data] and, in turn:
+The pass holds the live block w[l0, c, data], indexed by the meter l0 and
+the parties' digit c, and, in turn:
 
-1. applies the leader's gates as one d^2 x d^2 gate on (L.res, L.data),
-   F^-1 CZ F^-1, or F^-1 CX F^-1 with L.res read through F^-1 (CX CX^-1 is
-   exactly the identity), from the input times d^-1/2 in every k;
-2. applies party j's gate to row (l0, k) as its block B_j(c): block c of
-   the controlled gate, or of (I x F) T_j (I x F^-1), which is
-   block-diagonal exactly when T_j is X-compressed;
+1. applies the leader's gates on (L.res, L.data), F^-1 CZ F^-1, or
+   F^-1 CX F^-1 with L.res read through F^-1 (CX CX^-1 is exactly the
+   identity), to the input times d^-1/2 in every GHZ digit k: between the
+   two F^-1, L.res holds some a and L.data takes Z^a or X^a, so the gates
+   are one product of the d^2 x d matrix F^-1[l0, a] F^-1[a, k] with the d
+   input copies Z^a or X^a makes, filing digit k under c = k + l0;
+2. applies party j's gate to row (l0, c) as its block B_j(c): the
+   controlled gate's block c, or block c of (I x F) T_j (I x F^-1), which
+   is block-diagonal exactly when T_j is X-compressed;
 3. reads the party meters: on the live rows the n factors F^-1[l_j, c]
    (controlled) or <m_j| F^-1 |c> (X-compressed) make
    d^(-n/2) zeta^(-2 c t), with t = l1 + ... + ln mod d, so the meters
@@ -84,7 +88,14 @@ from .algebra import (
     partial_trace,
     pauli,
 )
-from .compression import NotXCompressed, assemble_controlled, is_compressed
+from .compression import (
+    NotBlockDiagonal,
+    NotXCompressed,
+    _sandwich,
+    assemble_controlled,
+    controlled_blocks,
+    is_compressed,
+)
 from .scalars import Tolerance, _zeta, global_phase_deviation
 
 __all__ = [
@@ -258,7 +269,7 @@ def target_unitary_xcompressed(d: int, n: int, parties: Sequence[Operator]) -> O
 
 def _outcome_rows(
     net: Network,
-    gates: Sequence[np.ndarray],
+    blocks: Sequence[np.ndarray],
     input_state: StateVector,
     variant: str,
     corrections: bool = True,
@@ -267,42 +278,34 @@ def _outcome_rows(
 
     Row l0 * d + t is every branch (l0, l1, ..., ln) with l1 + ... + ln = t
     mod d (``_outcome_index``); columns are indexed by the data qudits.
-    Controlled gates[j] have legs [data.., control]; X-compressed gates[j]
-    have the leader leg last.
+    ``blocks[j]`` stacks party j's d blocks B_j(c) on its data qudits.
     ``corrections=False`` leaves out the controlled variant's Z^(l_j).
     """
     d, n = net.d, net.n
     controlled = variant == "controlled"
     k = np.arange(d)
-    c = (k[:, None] + k) % d  # the parties' resource digit in live row (l0, k)
     phase = _zeta(d, 2 * np.outer(k, k))  # q**(a*b) at [a, b]: the controlled-Z
-    f = fourier(d).mat
-    f_inv = f.conj().T
-    f_inv_res = np.kron(f_inv, np.eye(d))  # F^-1 on L.res, the first leg of (L.res, L.data)
-    # F^-1 CZ F^-1, or F^-1 CX (CX CX^-1 is exactly the identity) on L.res read through F^-1
-    leader = f_inv_res @ (np.diag(phase.reshape(-1)) if controlled else _controlled_add(d)) @ f_inv_res
-    # w[l0, k, rest, x'] = sum_x input[rest, x] leader[(l0, x'), (k, x)] / sqrt(d)
-    w = np.matmul(
-        input_state.amps.reshape(-1, d) * (1 / np.sqrt(d)),
-        leader.reshape(d, d, d, d).transpose(0, 2, 3, 1),
-    )
+    f_inv = fourier(d).mat.conj().T
+    shift = (k - k[:, None]) % d  # b - a at [a, b]
+    # between the leader's two F^-1, L.res holds some a and L.data takes Z^a (the CZ), or X^a
+    # (the CX; CX CX^-1 is exactly the identity): moved[a, rest, x] is the input so acted on
+    start = input_state.amps.reshape(-1, d) * (1 / np.sqrt(d))
+    moved = phase[:, None, :] * start if controlled else start[:, shift].transpose(1, 0, 2)
+    # leader[l0, c, a] = F^-1[l0, a] F^-1[a, k]: GHZ digit k is filed under c = k + l0
+    leader = f_inv[:, None, :] * f_inv.T[shift]
+    w = np.matmul(leader.reshape(d * d, d), moved.reshape(d, -1))
     before = 1
-    for size, gate in zip(net.party_data, gates):
-        width = d**size
-        gate = gate.reshape(width, d, width, d)
-        if controlled:
-            blocks = gate[:, k, :, k]
-        else:  # the diagonal blocks of (I x F) T_j (I x F^-1)
-            blocks = np.einsum("cb,ibje,ec->cij", f, gate, f_inv)
-        w = np.matmul(blocks[c][:, :, None], w.reshape(d, d, before, width, -1))
+    for stack in blocks:  # row (l0, c) takes block c
+        width = stack.shape[-1]
+        w = np.matmul(stack[None, :, None], w.reshape(d, d, before, width, -1))
         before *= width
-    # every party meter at once: R[l0, t] = sum_k d^(-n/2) zeta^(-2 c t) w[l0, k]
-    meters = _zeta(d, -2 * c[:, None, :] * k[:, None]) * d ** (-n / 2)
+    # every party meter at once: R[l0, t] = sum_c d^(-n/2) zeta^(-2 c t) w[l0, c]
+    meters = _zeta(d, -2 * np.outer(k, k)) * d ** (-n / 2)
     rows = np.matmul(meters, w.reshape(d, d, -1)).reshape(d, d, -1, d)  # (l0, t, other data, L.data)
     if corrections and controlled:  # every Z^(l_j): q^(t x) on the L.data digit x
         rows *= phase[:, None, :]
     elif corrections:  # every X^(m_j): L.data digit x takes x - t
-        rows = np.take_along_axis(rows, ((k - k[:, None]) % d)[None, :, None, :], axis=3)
+        rows = np.take_along_axis(rows, shift[None, :, None, :], axis=3)
     return rows.reshape(d * d, -1)
 
 
@@ -350,6 +353,7 @@ def _run(
     net: Network,
     variant: str,
     gates: Sequence[np.ndarray],
+    blocks: Sequence[np.ndarray],
     input_state: StateVector,
     mode: str,
     tol: Tolerance,
@@ -359,11 +363,14 @@ def _run(
 ) -> ProtocolRun:
     """One deferred-measurement pass, read out on its live rows, then branch by branch.
 
+    ``gates`` make the target (``_expected_state``), ``blocks`` the pass
+    (``_outcome_rows``).
+
     ``all_branches`` lists every outcome tuple of nonzero probability in
     lexicographic order; ``sample`` draws ``samples`` tuples from the exact
     joint distribution.
     """
-    live = _outcome_rows(net, gates, input_state, variant, corrections)
+    live = _outcome_rows(net, blocks, input_state, variant, corrections)
     index = _outcome_index(net.d, net.n)
     live_probs = np.sum(np.abs(live) ** 2, axis=1)
     probs = live_probs[index]
@@ -394,6 +401,10 @@ def _controlled_gates(net: Network, blocks: Sequence[Sequence[Operator]]) -> lis
     ]
 
 
+def _block_stacks(blocks: Sequence[Sequence[Operator]]) -> list[np.ndarray]:
+    return [np.stack([b.mat for b in blist]) for blist in blocks]
+
+
 def run_mct_controlled(
     d: int,
     n: int,
@@ -414,7 +425,7 @@ def run_mct_controlled(
     net = Network(d, n, _party_sizes(blocks))
     _check_input(net, input_state)
     gates = _controlled_gates(net, blocks)
-    return _run(net, "controlled", gates, input_state, mode, tol, seed, samples)
+    return _run(net, "controlled", gates, _block_stacks(blocks), input_state, mode, tol, seed, samples)
 
 
 def run_mct_xcompressed(
@@ -436,18 +447,28 @@ def run_mct_xcompressed(
     """
     if len(parties) != n:
         raise ShapeError(f"need one transformation per party, got {len(parties)}")
+    xtol = Tolerance(max(tol.eps, 1e-8))
+    f = fourier(d).mat
+    blocks = []  # block c of (I x F) T_j (I x F^-1), the frame of the live rows
     for j, op in enumerate(parties, start=1):
         if op.d != d or op.n < 2:
             raise ShapeError(f"party {j} transformation must act on >= 2 qudits of dimension {d}")
         if not op.is_unitary(tol):
             raise ShapeError(f"party {j} transformation is not unitary")
-        if not is_compressed(op, op.n, "X", Tolerance(max(tol.eps, 1e-8))):
+        if not is_compressed(op, op.n, "X", xtol):
             raise NotXCompressed(f"party {j} transformation is not X-compressed on its last leg")
+        try:  # the off-diagonal blocks are checked against xtol, not dropped
+            frame = controlled_blocks(_sandwich(f, op, op.n, f.conj().T), op.n, xtol)
+        except NotBlockDiagonal as exc:
+            raise NotXCompressed(
+                f"party {j} transformation is not X-compressed on its last leg: {exc}"
+            ) from exc
+        blocks.append(np.stack([b.mat for b in frame.blocks]))
 
     net = Network(d, n, tuple(op.n - 1 for op in parties))
     _check_input(net, input_state)
     gates = [op.mat for op in parties]
-    return _run(net, "xcompressed", gates, input_state, mode, tol, seed, samples)
+    return _run(net, "xcompressed", gates, blocks, input_state, mode, tol, seed, samples)
 
 
 def trick_identity_deviation(d: int) -> float:
@@ -490,10 +511,10 @@ def leader_reduced_density(
     _validate_blocks(d, n, blocks, tol)
     net = Network(d, n, _party_sizes(blocks))
     _check_input(net, input_state)
-    rows = _outcome_rows(net, _controlled_gates(net, blocks), input_state, "controlled", corrections=False)
-    rows = rows[_outcome_index(d, n)]
+    rows = _outcome_rows(net, _block_stacks(blocks), input_state, "controlled", corrections=False)
     # the meters dephase the resource qudits in the computational basis; the
     # leader-data reduced state is unchanged by that, so tracing the whole
-    # register out is exactly the outcome-averaged state
-    total = net.total_qudits
-    return partial_trace(StateVector(d, total, rows.reshape(-1)), [total])
+    # register out is exactly the outcome-averaged state.  Row (l0, t) stands
+    # for d^(n-1) outcomes, and their order does not matter under the trace.
+    m = net.data_qudits + 2
+    return d ** (n - 1) * partial_trace(StateVector(d, m, rows.reshape(-1)), [m])

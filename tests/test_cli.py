@@ -553,35 +553,42 @@ def _traced_peak(run, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("d, n", [(3, 4), (2, 6), (2, 8), (3, 2)])
-def test_mct_estimate_covers_a_run(d, n):
-    """Both variants' traced peaks stay within the bytes the mct guard charges."""
+def _mct_peaks(d, sizes, seed):
+    """Traced peaks of a controlled run and, when every party holds data, of an X-compressed one."""
     from paradiag.protocol import run_mct_controlled, run_mct_xcompressed
 
-    rng = np.random.default_rng(d * 10 + n)
-    blocks = [[random_unitary(d, 1, rng) for _ in range(d)] for _ in range(n)]
-    f = fourier(d)
-    parties = [
-        embed_operator(f.adjoint(), [2], 2) @ assemble_controlled(b, 2, 2) @ embed_operator(f, [2], 2)
-        for b in blocks
-    ]
-    amps = rng.standard_normal(d ** (n + 1)) + 1j * rng.standard_normal(d ** (n + 1))
-    inp = StateVector(d, n + 1, amps / np.linalg.norm(amps))
-    charged = _mct_bytes(d, n, n + 1)
-    assert _traced_peak(run_mct_controlled, d, n, blocks, inp) <= charged
-    assert _traced_peak(run_mct_xcompressed, d, n, parties, inp) <= charged
-
-
-def test_mct_estimate_covers_a_party_without_data():
-    """A tiny controlled run, whose fixed costs outweigh its register, stays within the guard."""
-    from paradiag.protocol import run_mct_controlled
-
-    d, sizes = 3, (0, 2)
-    rng = np.random.default_rng(47)
+    rng = np.random.default_rng(seed)
+    n, data = len(sizes), sum(sizes) + 1
     blocks = [[random_unitary(d, m, rng) for _ in range(d)] for m in sizes]
-    amps = rng.standard_normal(d**3) + 1j * rng.standard_normal(d**3)
-    inp = StateVector(d, 3, amps / np.linalg.norm(amps))
-    assert _traced_peak(run_mct_controlled, d, 2, blocks, inp) <= _mct_bytes(d, 2, 3)
+    f = fourier(d)
+    amps = rng.standard_normal(d**data) + 1j * rng.standard_normal(d**data)
+    inp = StateVector(d, data, amps / np.linalg.norm(amps))
+    peaks = [_traced_peak(run_mct_controlled, d, n, blocks, inp)]
+    if min(sizes) > 0:
+        parties = [
+            embed_operator(f.adjoint(), [m + 1], m + 1) @ assemble_controlled(b, m + 1, m + 1)
+            @ embed_operator(f, [m + 1], m + 1)
+            for b, m in zip(blocks, sizes)
+        ]
+        peaks.append(_traced_peak(run_mct_xcompressed, d, n, parties, inp))
+    return peaks
+
+
+@pytest.mark.parametrize("d, n", [(3, 4), (2, 6), (2, 8), (3, 2), (12, 1), (6, 2)])
+def test_mct_estimate_covers_a_run(d, n):
+    """Both variants' traced peaks stay within the bytes the mct guard charges.
+
+    At n = 1 the live rows are the whole register, and at n = 2 a third of it.
+    """
+    charged = _mct_bytes(d, (1,) * n)
+    assert all(peak <= charged for peak in _mct_peaks(d, (1,) * n, d * 10 + n))
+
+
+@pytest.mark.parametrize("d, sizes", [(3, (0, 2)), (3, (3,)), (2, (6,)), (2, (4, 4))])
+def test_mct_estimate_covers_party_matrices(d, sizes):
+    """Runs whose party gates outweigh their register stay within the guard, both variants."""
+    charged = _mct_bytes(d, sizes)
+    assert all(peak <= charged for peak in _mct_peaks(d, sizes, 47))
 
 
 def test_mct_requires_block_source(capsys):

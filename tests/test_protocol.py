@@ -18,7 +18,7 @@ from paradiag.algebra import (
     pauli,
     random_unitary,
 )
-from paradiag.compression import NotXCompressed, assemble_controlled
+from paradiag.compression import NotXCompressed, assemble_controlled, commutator_norm
 from paradiag.protocol import (
     Network,
     _controlled_gates,
@@ -316,6 +316,27 @@ def test_mct_xcompressed_rejects_uncompressed():
         run_mct_xcompressed(2, 1, [f2], basis_state(2, [0, 0]))
 
 
+def test_mct_xcompressed_checks_the_frame_blocks():
+    """Leakage between the F-frame blocks is refused, even where the commutator passes.
+
+    At d = 16 a unitary leak of 3e-8 between F-frame blocks 0 and 1 leaves
+    [T, X_2] at 3.9e-9, within the runner's 1e-8, but the off-diagonal block
+    at 9.9e-8, which the live-row pass would drop.
+    """
+    d, eps = 16, 3e-8
+    rng = np.random.default_rng(5)
+    frame = assemble_controlled([random_unitary(d, 1, rng) for _ in range(d)], 2, 2).mat
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    leak = np.kron(a, np.eye(d)[:, [0]] @ np.eye(d)[[1]])  # A (x) |0><1| on the control leg
+    lam, q = np.linalg.eigh(leak + leak.conj().T)
+    frame = frame @ q @ np.diag(np.exp(1j * eps * lam)) @ q.conj().T
+    f = fourier(d)
+    op = embed_operator(f.adjoint(), [2], 2) @ Operator(d, 2, frame) @ embed_operator(f, [2], 2)
+    assert op.is_unitary(Tolerance()) and commutator_norm(op, 2, "X") <= 1e-8
+    with pytest.raises(NotXCompressed, match="off-diagonal block"):
+        run_mct_xcompressed(d, 1, [op], _random_state(d, 2, rng))
+
+
 def test_controlled_and_xcompressed_agree_after_conjugation():
     """The two pipelines implement F-conjugate targets of each other."""
     rng = np.random.default_rng(8)
@@ -443,8 +464,9 @@ def test_outcome_labels_match_independent_branches(d, sizes, variant):
     _assert_branches_equal(run.branches, list(_reference_branches(d, sizes, gates, variant, inp)))
 
     uncorrected = list(_reference_branches(d, sizes, gates, variant, inp, corrections=False))
-    raw = _run(Network(d, n, sizes), "controlled", gates, inp, "all_branches", Tolerance(), None, 0,
-               corrections=False)
+    stacks = [np.stack([b.mat for b in blist]) for blist in blocks]
+    raw = _run(Network(d, n, sizes), "controlled", gates, stacks, inp, "all_branches", Tolerance(),
+               None, 0, corrections=False)
     _assert_branches_equal(raw.branches, uncorrected)
     returned = leader_reduced_density(d, n, blocks, inp)
     for l0 in range(d):  # the returned state is each l0's state

@@ -232,19 +232,19 @@ def _random_input(d: int, n_data: int, rng: np.random.Generator) -> StateVector:
 def _mct_bytes(d: int, sizes: tuple[int, ...]) -> int:
     """Peak bytes of one MCT run whose parties hold ``sizes`` data qudits, estimated without running.
 
-    A run holds at most, at once: its branch outputs, as large as the
-    register of d**(n+1+data) amplitudes; two arrays of the d**2 live rows
+    A run holds at most, at once: two arrays of the d**2 live rows
     (d**(2+data) amplitudes), the pass's old and new block or the readout's
-    rows and their scaled copy; and five arrays the size of each party's
-    gate, d**(2s+2) entries for s data qudits, for its assembled gate and
-    the unitarity and compression checks' temporaries.  Each of the
-    d**(n+1) branches also holds under 1 KiB: its outcome tuple, index
-    entries and record.  A fixed 64 KiB covers the rest, such as numpy's
-    iterator buffers and interpreter objects.
+    rows and one temporary of their size; and five arrays the size of each
+    party's gate, d**(2s+2) entries for s data qudits, for its assembled
+    gate and the unitarity and compression checks' temporaries.  The branch
+    outputs are read-only views of the live rows, so they add no amplitudes.
+    Each of the d**(n+1) branches also holds under 1 KiB: its outcome tuple,
+    index entries and record.  A fixed 64 KiB covers the rest, such as
+    numpy's iterator buffers and interpreter objects.
     """
     n, data = len(sizes), sum(sizes) + 1
     parties = sum(5 * d ** (2 * s + 2) for s in sizes)
-    return 16 * (d ** (n + 1 + data) + 2 * d ** (2 + data) + parties) + 1024 * d ** (n + 1) + 64 * 1024
+    return 16 * (2 * d ** (2 + data) + parties) + 1024 * d ** (n + 1) + 64 * 1024
 
 
 def cmd_mct(args: argparse.Namespace) -> int:
@@ -282,7 +282,7 @@ def cmd_mct(args: argparse.Namespace) -> int:
     data = sum(sizes) + 1  # data qudits, the leader's included
     if _refuse_oversized(_mct_bytes(d, sizes), "mct", f"a register of {data + n + 1} qudits"):
         return EXIT_INVALID
-    runs = []  # reports only: a run's branch outputs are as large as its register
+    runs = []
     try:
         for parties, input_state, seed in trials:  # (blocks, input or None for a random one, seed)
             if input_state is None:

@@ -66,8 +66,10 @@ the parties' digit c, and, in turn:
 
 Branch (l0, l1, ..., ln) is then the row R[l0, t].  The readout computes
 probabilities, normalized outputs and deviations from the target on the d^2
-rows of R, and one gather copies the branch outputs out of them in
-lexicographic outcome order.
+rows of R, then marks R read-only: the d^2 outputs are views of its rows,
+and every branch (l0, l1, ..., ln), in lexicographic outcome order, shares
+the output of its row R[l0, t].  No array of the d^(n+1+data)-amplitude
+register is built.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ from .compression import (
     controlled_blocks,
     is_compressed,
 )
-from .scalars import Tolerance, _zeta, global_phase_deviation
+from .scalars import Tolerance, _frozen, _zeta, global_phase_deviation
 
 __all__ = [
     "Network",
@@ -117,9 +119,8 @@ __all__ = [
 class Network:
     """Ownership map for one leader and n parties.
 
-    Positions are 1-based in the register [resource qudits, data qudits]:
-    party j's resource qudit is j, the leader's is n+1, the data qudits
-    follow in input order and the leader's data qudit is last.
+    The parties' data qudits come in input order and the leader's one data
+    qudit is last, as in the register layout of the module docstring.
     """
 
     d: int
@@ -131,27 +132,8 @@ class Network:
             raise ShapeError(f"need one data size per party, got {self.party_data!r} for n={self.n}")
 
     @property
-    def total_qudits(self) -> int:
-        return sum(self.party_data) + self.n + 2
-
-    @property
     def data_qudits(self) -> int:
         return sum(self.party_data) + 1
-
-    def party_data_positions(self, j: int) -> list[int]:
-        base = self.n + 1 + sum(self.party_data[: j - 1])
-        return [base + i + 1 for i in range(self.party_data[j - 1])]
-
-    def party_resource_position(self, j: int) -> int:
-        return j
-
-    @property
-    def leader_resource_position(self) -> int:
-        return self.n + 1
-
-    @property
-    def leader_data_position(self) -> int:
-        return self.total_qudits
 
 
 @dataclass(frozen=True)
@@ -359,7 +341,6 @@ def _run(
     tol: Tolerance,
     seed: int | None,
     samples: int,
-    corrections: bool = True,
 ) -> ProtocolRun:
     """One deferred-measurement pass, read out on its live rows, then branch by branch.
 
@@ -370,7 +351,7 @@ def _run(
     lexicographic order; ``sample`` draws ``samples`` tuples from the exact
     joint distribution.
     """
-    live = _outcome_rows(net, blocks, input_state, variant, corrections)
+    live = _outcome_rows(net, blocks, input_state, variant)
     index = _outcome_index(net.d, net.n)
     live_probs = np.sum(np.abs(live) ** 2, axis=1)
     probs = live_probs[index]
@@ -382,12 +363,12 @@ def _run(
         raise ValueError(f"unknown mode {mode!r}")
     norms = np.sqrt(live_probs)[:, None]
     np.divide(live, norms, out=live, where=norms > 0)  # a row of probability 0 is never picked
-    devs = global_phase_deviation(live, _expected_state(net, gates, input_state).amps)
+    devs = global_phase_deviation(_frozen(live), _expected_state(net, gates, input_state).amps).tolist()
+    outputs = [StateVector(net.d, net.data_qudits, row) for row in live]  # read-only, shared by row
     outcomes = list(itertools.product(range(net.d), repeat=net.n + 1))
-    m, rows = net.data_qudits, index[picks]
     branches = [
-        BranchResult(outcomes[i], p, StateVector(net.d, m, amps), dev <= tol.eps, dev)
-        for i, p, amps, dev in zip(picks.tolist(), probs[picks].tolist(), live[rows], devs[rows].tolist())
+        BranchResult(outcomes[i], p, outputs[r], devs[r] <= tol.eps, devs[r])
+        for i, r, p in zip(picks.tolist(), index[picks].tolist(), probs[picks].tolist())
     ]
     passed = all(b.match for b in branches)
     return ProtocolRun(net, mode, tuple(branches), _cost_report(net), passed)

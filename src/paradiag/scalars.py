@@ -127,7 +127,7 @@ class PhaseExponent:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only, so no caller can write into the cache."""
+    """Mark a shared array read-only, such as a cache, so no caller can write into it."""
     arr.flags.writeable = False
     return arr
 

@@ -522,7 +522,7 @@ def test_mct_rejects_malformed_parties(capsys, tmp_path, parties):
 
 @pytest.mark.parametrize("source", ["random", "blocks"])
 def test_mct_refuses_oversized_network(capsys, tmp_path, monkeypatch, source):
-    """42 qudits at d=2 cannot fit in memory: exit 2 with one error line, before any run."""
+    """2^41 branches at d=2 cannot fit in memory: exit 2 with one error line, before any run."""
     from paradiag import cli
 
     def refuse(*args, **kwargs):
@@ -534,9 +534,9 @@ def test_mct_refuses_oversized_network(capsys, tmp_path, monkeypatch, source):
     else:
         cnot = [json.loads(algebra.operator_to_json(m)) for m in (Operator.identity(2), pauli(2, "X"))]
         path = tmp_path / "blocks.json"
-        path.write_text(json.dumps({"d": 2, "n": 20, "parties": [cnot] * 20}))
+        path.write_text(json.dumps({"d": 2, "n": 40, "parties": [cnot] * 40}))
         extra = ("--blocks", str(path))
-    code, out, err = run_cli(capsys, "mct", "--d", "2", "--n", "20", *extra)
+    code, out, err = run_cli(capsys, "mct", "--d", "2", "--n", "40", *extra)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
@@ -574,7 +574,7 @@ def _mct_peaks(d, sizes, seed):
     return peaks
 
 
-@pytest.mark.parametrize("d, n", [(3, 4), (2, 6), (2, 8), (3, 2), (12, 1), (6, 2)])
+@pytest.mark.parametrize("d, n", [(3, 4), (2, 6), (2, 8), (3, 2), (12, 1), (6, 2), (5, 4), (2, 10)])
 def test_mct_estimate_covers_a_run(d, n):
     """Both variants' traced peaks stay within the bytes the mct guard charges.
 

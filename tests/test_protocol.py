@@ -23,7 +23,8 @@ from paradiag.protocol import (
     Network,
     _controlled_gates,
     _expected_state,
-    _run,
+    _outcome_index,
+    _outcome_rows,
     leader_reduced_density,
     measure_qudit,
     run_mct_controlled,
@@ -53,19 +54,10 @@ def _x_compressed_gate(d, m, rng):
 
 
 def test_network_layout():
-    net = Network(2, 2, (1, 1))
-    assert net.total_qudits == 6
-    assert net.party_resource_position(1) == 1
-    assert net.party_resource_position(2) == 2
-    assert net.leader_resource_position == 3
-    assert net.party_data_positions(1) == [4]
-    assert net.party_data_positions(2) == [5]
-    assert net.leader_data_position == 6
-    net = Network(2, 2, (2, 1))
-    assert net.total_qudits == 7
-    assert net.party_data_positions(1) == [4, 5]
-    assert net.party_data_positions(2) == [6]
-    assert net.leader_data_position == 7
+    assert Network(2, 2, (1, 1)).data_qudits == 3
+    assert Network(2, 2, (2, 1)).data_qudits == 4
+    with pytest.raises(ShapeError):
+        Network(2, 2, (1,))
 
 
 def test_measure_qudit_plus_state():
@@ -465,9 +457,13 @@ def test_outcome_labels_match_independent_branches(d, sizes, variant):
 
     uncorrected = list(_reference_branches(d, sizes, gates, variant, inp, corrections=False))
     stacks = [np.stack([b.mat for b in blist]) for blist in blocks]
-    raw = _run(Network(d, n, sizes), "controlled", gates, stacks, inp, "all_branches", Tolerance(),
-               None, 0, corrections=False)
-    _assert_branches_equal(raw.branches, uncorrected)
+    rows = _outcome_rows(Network(d, n, sizes), stacks, inp, "controlled", corrections=False)
+    raw = rows[_outcome_index(d, n)]
+    probs = np.sum(np.abs(raw) ** 2, axis=1)
+    assert [outcomes for outcomes, _, _ in uncorrected] == list(np.ndindex((d,) * (n + 1)))
+    for (_, prob, output), p, row in zip(uncorrected, probs, raw, strict=True):
+        assert p == pytest.approx(prob, abs=1e-12)
+        assert np.max(np.abs(row / np.sqrt(p) - output)) <= 1e-12
     returned = leader_reduced_density(d, n, blocks, inp)
     for l0 in range(d):  # the returned state is each l0's state
         rho = np.zeros((d, d), dtype=complex)
@@ -477,6 +473,16 @@ def test_outcome_labels_match_independent_branches(d, sizes, variant):
                 rho += prob * leader.T @ leader.conj()
         rho /= np.trace(rho).real
         assert np.max(np.abs(returned - rho)) <= 1e-12
+
+
+def _variant_args(variant, d, sizes, rng):
+    """The run function of ``variant`` and its arguments, on random gates and a random input."""
+    inp = _random_state(d, sum(sizes) + 1, rng)
+    if variant == "controlled":
+        blocks = [[random_unitary(d, m, rng) for _ in range(d)] for m in sizes]
+        return run_mct_controlled, (d, len(sizes), blocks, inp)
+    parties = [_x_compressed_gate(d, m, rng) for m in sizes]
+    return run_mct_xcompressed, (d, len(sizes), parties, inp)
 
 
 @pytest.mark.parametrize("variant", ["controlled", "xcompressed"])
@@ -493,12 +499,38 @@ def test_no_register_size_operator_pass(variant, monkeypatch):
         return kernel(op_mat, state, qudits)
 
     monkeypatch.setattr(protocol, "apply_to_qudits", spy)
-    rng = np.random.default_rng(17)
-    inp = _random_state(d, data, rng)
-    if variant == "controlled":
-        blocks = [[random_unitary(d, m, rng) for _ in range(d)] for m in sizes]
-        run = run_mct_controlled(d, n, blocks, inp)
-    else:
-        run = run_mct_xcompressed(d, n, [_x_compressed_gate(d, m, rng) for m in sizes], inp)
-    assert run.passed and seen
+    run_fn, args = _variant_args(variant, d, sizes, np.random.default_rng(17))
+    assert run_fn(*args).passed and seen
     assert max(seen) < d ** (n + 1 + data), seen
+
+
+@pytest.mark.parametrize("variant", ["controlled", "xcompressed"])
+def test_run_peaks_far_below_its_register(variant):
+    """At (2, 10) a run's traced peak stays under an eighth of its register's 16 d^(n+1+data) bytes."""
+    import tracemalloc
+
+    d, n, data = 2, 10, 11
+    run_fn, args = _variant_args(variant, d, (1,) * n, np.random.default_rng(23))
+    tracemalloc.start()
+    try:
+        assert run_fn(*args).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d ** (n + 1 + data) // 8, peak
+
+
+@pytest.mark.parametrize("variant", ["controlled", "xcompressed"])
+def test_branch_outputs_are_shared_read_only_rows(variant):
+    """Every branch with live row (l0, t) carries the same read-only output: d^2 in a run."""
+    d, sizes = 3, (1, 2)
+    run_fn, args = _variant_args(variant, d, sizes, np.random.default_rng(29))
+    run = run_fn(*args)
+    assert run.passed and len(run.branches) == d ** (len(sizes) + 1)
+    with pytest.raises(ValueError):
+        run.branches[0].output.amps[0] = 0
+    shared = {}
+    for b in run.branches:
+        row = (b.outcomes[0], sum(b.outcomes[1:]) % d)
+        assert shared.setdefault(row, b.output) is b.output
+    assert len({id(b.output) for b in run.branches}) == len(shared) == d * d
